@@ -1,35 +1,11 @@
-"""Pure-Python (numpy) pair-counting kernels.
-
-Fallback used when the compiled extension is unavailable. Both backends
-return exact integer counts, so results are bit-identical between them.
-"""
+"""Exact discordant-pair count by merge-sort inversions, in numpy."""
 
 from __future__ import annotations
 
 import numpy as np
 
-# Rows per chunk in the quadratic kernel are limited so the broadcasted
-# comparison matrix stays around ~4e6 cells.
-_QUAD_CELLS = 4_000_000
-
 # Below this size inversions are counted directly by broadcasting.
 _LEAF = 256
-
-
-def net_concordance_quadratic(x: np.ndarray, y: np.ndarray) -> int:
-    """Net concordant-minus-discordant count over all unordered pairs."""
-    n = x.size
-    if n < 2:
-        return 0
-    rows = max(1, _QUAD_CELLS // n)
-    net = 0
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        sx = np.sign(x[lo:hi, None] - x[None, :])
-        sy = np.sign(y[lo:hi, None] - y[None, :])
-        net += int(np.sum(sx * sy, dtype=np.int64))
-    # every pair counted twice (i, j) and (j, i); diagonal contributes zero
-    return net // 2
 
 
 def _inversions(a: np.ndarray) -> tuple[int, np.ndarray]:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .copulas import check_theta
-from .data import as_dataset
+from .data import Dataset, as_dataset
 from .errors import EmptyDataError, IncoherentIntervalError, InvalidSummaryError
 
 __all__ = [
@@ -196,6 +196,29 @@ def _affine(p: np.ndarray, m1: float, m2: float, m3: float, l1: float) -> tuple[
     return lower, upper
 
 
+def _interval(kind: IntervalKind, base: DistSummary, m1: float | None,
+              l1: float | None, se_1=None) -> TauInterval:
+    """The affine map of ``base`` with the pattern-1 moments (m1, l1).
+
+    When ``se_1`` holds the standard errors of (m1, l1), standard errors are
+    propagated linearly, those of m2 and m3 taken from ``base`` (zero when
+    absent), plus the multinomial contribution of the pattern frequencies
+    when ``base.n`` is known.
+    """
+    p = np.asarray(base.p_z, dtype=float)
+    m1, l1, m2, m3 = (v if v is not None else 0.0 for v in (m1, l1, base.m2, base.m3))
+    lower, upper = _affine(p, m1, m2, m3, l1)
+    se_lower = se_upper = None
+    if se_1 is not None:
+        se_b = np.asarray(base.se, dtype=float) if base.se is not None else np.zeros(4)
+        p_se = _multinomial_se(p, base.n)
+        se_upper = _propagate(p, np.array([m1, m2, m3, 1.0]),
+                              np.array([se_1[0], se_b[2], se_b[3], 0.0]), p_se)
+        se_lower = _propagate(np.array([p[0], 0, 0, 0]), np.array([l1, 0, 0, 0]),
+                              np.array([se_1[1], 0, 0, 0]), p_se)
+    return TauInterval(lower, upper, kind, se_lower=se_lower, se_upper=se_upper)
+
+
 def worst_case(summary: DistSummary) -> TauInterval:
     """Worst-case identified set (raw, unclipped) from a summary.
 
@@ -203,23 +226,8 @@ def worst_case(summary: DistSummary) -> TauInterval:
     errors are propagated linearly (plus the multinomial contribution of
     the pattern frequencies when ``summary.n`` is known).
     """
-    p = np.asarray(summary.p_z, dtype=float)
-    m1 = summary.m1 if summary.m1 is not None else 0.0
-    l1 = summary.l1 if summary.l1 is not None else 0.0
-    m2 = summary.m2 if summary.m2 is not None else 0.0
-    m3 = summary.m3 if summary.m3 is not None else 0.0
-    lower, upper = _affine(p, m1, m2, m3, l1)
-
-    se_lower = se_upper = None
-    if summary.se is not None:
-        se = np.asarray(summary.se, dtype=float)
-        p_se = _multinomial_se(p, summary.n)
-        se_upper = _propagate(p, np.array([m1, m2, m3, 1.0]),
-                              np.array([se[0], se[2], se[3], 0.0]), p_se)
-        se_lower = _propagate(np.array([p[0], 0, 0, 0]), np.array([l1, 0, 0, 0]),
-                              np.array([se[1], 0, 0, 0]), p_se)
-    return TauInterval(lower, upper, IntervalKind.WORST_CASE,
-                       se_lower=se_lower, se_upper=se_upper)
+    se_1 = summary.se[:2] if summary.se is not None else None
+    return _interval(IntervalKind.WORST_CASE, summary, summary.m1, summary.l1, se_1)
 
 
 def refined(summary: ThetaSummary) -> TauInterval:
@@ -227,35 +235,22 @@ def refined(summary: ThetaSummary) -> TauInterval:
 
     Same affine map as :func:`worst_case` with the pattern-1 moments
     replaced by the constrained-surface means. The result is verified to be
-    nested inside the worst-case interval of the embedded summary;
-    violation indicates mutually inconsistent inputs.
+    nested inside the worst-case interval of the embedded summary, widened
+    by the moment tolerance :class:`ThetaSummary` allows, carried through
+    the affine map; violation indicates mutually inconsistent inputs.
     """
     base = summary.base
-    p = np.asarray(base.p_z, dtype=float)
-    m1t = summary.m1_theta if summary.m1_theta is not None else 0.0
-    l1t = summary.l1_theta if summary.l1_theta is not None else 0.0
-    m2 = base.m2 if base.m2 is not None else 0.0
-    m3 = base.m3 if base.m3 is not None else 0.0
-    lower, upper = _affine(p, m1t, m2, m3, l1t)
-
-    envelope = worst_case(base)
-    if lower < envelope.lower or upper > envelope.upper:
+    interval = _interval(IntervalKind.REFINED, base, summary.m1_theta,
+                         summary.l1_theta, summary.se)
+    # the same expressions ThetaSummary checks against; rounding is monotone,
+    # so every summary it accepts passes
+    envelope = _interval(IntervalKind.WORST_CASE, base, (base.m1 or 0.0) + _MOMENT_TOL,
+                         (base.l1 or 0.0) - _MOMENT_TOL)
+    if interval.lower < envelope.lower or interval.upper > envelope.upper:
         raise InvalidSummaryError(
             "refined interval not nested in the worst-case interval; "
             "summary moments are mutually inconsistent")
-
-    se_lower = se_upper = None
-    if summary.se is not None:
-        se_t = np.asarray(summary.se, dtype=float)
-        se_b = (np.asarray(base.se, dtype=float)
-                if base.se is not None else np.zeros(4))
-        p_se = _multinomial_se(p, base.n)
-        se_upper = _propagate(p, np.array([m1t, m2, m3, 1.0]),
-                              np.array([se_t[0], se_b[2], se_b[3], 0.0]), p_se)
-        se_lower = _propagate(np.array([p[0], 0, 0, 0]), np.array([l1t, 0, 0, 0]),
-                              np.array([se_t[1], 0, 0, 0]), p_se)
-    return TauInterval(lower, upper, IntervalKind.REFINED,
-                       se_lower=se_lower, se_upper=se_upper)
+    return interval
 
 
 def clip(interval: TauInterval) -> TauInterval:
@@ -383,6 +378,25 @@ def _moment(values: np.ndarray) -> tuple[float | None, float]:
     return mean, float(np.std(s, ddof=1) / math.sqrt(m))
 
 
+def _pattern_summary(ds: Dataset, upper, lower) -> DistSummary:
+    """Pattern frequencies and the four bound moments, with standard errors.
+
+    ``upper`` is the pair of transforms (f, g) applied to x and y in the
+    upper-bound moments m1, m2, m3; ``lower`` the pair applied in the
+    lower-bound moment l1. Moments of empty patterns stay absent.
+    """
+    n = len(ds)
+    (f_up, g_up), (f_lo, g_lo) = upper, lower
+    pat1 = ds.z == 1
+    x1, y1 = ds.x[pat1], ds.y[pat1]
+    m1, se_m1 = _moment(np.minimum(f_up(x1), g_up(y1)))
+    l1, se_l1 = _moment(np.maximum(f_lo(x1) + g_lo(y1) - 1.0, 0.0))
+    m2, se_m2 = _moment(f_up(ds.x[ds.z == 2]))
+    m3, se_m3 = _moment(g_up(ds.y[ds.z == 3]))
+    return DistSummary(tuple(ds.pattern_counts() / n), m1, l1, m2, m3,
+                       se=(se_m1, se_l1, se_m2, se_m3), n=n)
+
+
 def envelope_summary(records, cdf_bounds: SteppedCdfBounds) -> DistSummary:
     """Summary with the margin transforms replaced by the CDF envelopes.
 
@@ -391,17 +405,10 @@ def envelope_summary(records, cdf_bounds: SteppedCdfBounds) -> DistSummary:
     worst case over all margins admissible under ``cdf_bounds``.
     """
     ds = as_dataset(records)
-    n = len(ds)
-    if n == 0:
+    if len(ds) == 0:
         raise EmptyDataError("no records supplied")
-    pat1 = ds.z == 1
-    x1, y1 = ds.x[pat1], ds.y[pat1]
-    m1, se_m1 = _moment(np.minimum(cdf_bounds.upper_f(x1), cdf_bounds.upper_g(y1)))
-    l1, se_l1 = _moment(np.maximum(cdf_bounds.lower_f(x1) + cdf_bounds.lower_g(y1) - 1.0, 0.0))
-    m2, se_m2 = _moment(cdf_bounds.upper_f(ds.x[ds.z == 2]))
-    m3, se_m3 = _moment(cdf_bounds.upper_g(ds.y[ds.z == 3]))
-    return DistSummary(tuple(ds.pattern_counts() / n), m1, l1, m2, m3,
-                       se=(se_m1, se_l1, se_m2, se_m3), n=n)
+    return _pattern_summary(ds, (cdf_bounds.upper_f, cdf_bounds.upper_g),
+                            (cdf_bounds.lower_f, cdf_bounds.lower_g))
 
 
 def worst_case_unknown_margins(records, cdf_bounds: SteppedCdfBounds) -> TauInterval:

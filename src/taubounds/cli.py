@@ -17,6 +17,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__
+from .bounds import clip, decide
 from .data import read_csv, write_csv
 from .errors import TauBoundsError
 from .estimator import CdfTable, MarginMode, analyze
@@ -146,20 +147,21 @@ def _config_from_args(args) -> MgpConfig:
     return MgpConfig(gamma, CopulaSpec.gaussian(args.rho), scale)
 
 
-def _bounds_payload(pb) -> dict:
-    def block(interval):
-        if interval is None:
-            return None
-        return {
-            "lower": interval.lower,
-            "upper": interval.upper,
-            "se_lower": interval.se_lower,
-            "se_upper": interval.se_upper,
-        }
-
+def _interval_payload(interval) -> dict | None:
+    if interval is None:
+        return None
     return {
-        "worst_case": block(pb.worst_case),
-        "refined": block(pb.refined),
+        "lower": interval.lower,
+        "upper": interval.upper,
+        "se_lower": interval.se_lower,
+        "se_upper": interval.se_upper,
+    }
+
+
+def _bounds_payload(pb) -> dict:
+    return {
+        "worst_case": _interval_payload(pb.worst_case),
+        "refined": _interval_payload(pb.refined),
         "p_z": [float(p) for p in pb.p_z],
         "p_z_se": [float(s) for s in pb.p_z_se],
         "theta": pb.theta,
@@ -213,7 +215,6 @@ def _cmd_reproduce(args) -> int:
             deviations = {key: measured[key] - target
                           for key, target in scenario.targets.items()}
             within = all(abs(d) <= tolerance for d in deviations.values())
-            from .bounds import clip, decide
             decision = decide(clip(pb.refined))
             decision_ok = decision is scenario.expected_decision
             if not (within and decision_ok):
@@ -222,14 +223,8 @@ def _cmd_reproduce(args) -> int:
                 "scenario": name,
                 "covariate_scale": scale.value,
                 "theta": theta,
-                "worst_case": {"lower": pb.worst_case.lower,
-                               "upper": pb.worst_case.upper,
-                               "se_lower": pb.worst_case.se_lower,
-                               "se_upper": pb.worst_case.se_upper},
-                "refined": {"lower": pb.refined.lower,
-                            "upper": pb.refined.upper,
-                            "se_lower": pb.refined.se_lower,
-                            "se_upper": pb.refined.se_upper},
+                "worst_case": _interval_payload(pb.worst_case),
+                "refined": _interval_payload(pb.refined),
                 "p_z": [float(p) for p in pb.p_z],
                 "theta_hat": pb.theta_hat,
                 "decision": decision.value,

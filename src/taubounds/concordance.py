@@ -1,40 +1,21 @@
 """Sample Kendall's tau for tie-free continuous data.
 
-The estimate is (concordant - discordant) / C(n, 2). Two algorithms are
-provided: the defining O(n^2) pairwise count, used up to ``QUADRATIC_LIMIT``
-points, and an O(n log n) merge-sort inversion count above that. Both
-produce exact integer pair counts, so their results are identical.
-
-Kernels come from the compiled extension when it is installed; otherwise a
-numpy fallback is used. Set the environment variable ``TAUBOUNDS_NO_EXT=1``
-before import to force the fallback.
+The estimate is (concordant - discordant) / C(n, 2). Discordant pairs are
+counted exactly, as the merge-sort inversions of y taken in x order
+(Knight 1966), in O(n log n).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+from . import _concordance_py as _kernel
 from .errors import TieError
 
-if os.environ.get("TAUBOUNDS_NO_EXT", "").strip() not in ("", "0"):
-    from . import _concordance_py as _kernel
+__all__ = ["kendall_tau", "HAVE_COMPILED_KERNEL"]
 
-    HAVE_COMPILED_KERNEL = False
-else:
-    try:
-        from . import _concordance as _kernel  # type: ignore[attr-defined]
-
-        HAVE_COMPILED_KERNEL = True
-    except ImportError:
-        from . import _concordance_py as _kernel
-
-        HAVE_COMPILED_KERNEL = False
-
-__all__ = ["kendall_tau", "HAVE_COMPILED_KERNEL", "QUADRATIC_LIMIT"]
-
-QUADRATIC_LIMIT = 10_000
+HAVE_COMPILED_KERNEL = False
+"""Always ``False``: the numpy kernel is the only one."""
 
 
 def _as_xy(points, y) -> tuple[np.ndarray, np.ndarray]:
@@ -57,15 +38,12 @@ def _reject_ties(name: str, a: np.ndarray) -> None:
         raise TieError(name, float(s[1:][dup][0]))
 
 
-def kendall_tau(points, y=None, method: str = "auto") -> float:
+def kendall_tau(points, y=None) -> float:
     """Kendall rank-correlation estimate in [-1, 1].
 
     Accepts either an (n, 2) array of pairs or two equal-length 1-d arrays.
     Ties in either coordinate are rejected (the estimate targets continuous
     data), as are samples with fewer than two points.
-
-    ``method`` is one of ``"auto"``, ``"quadratic"``, ``"mergesort"``; auto
-    selects the quadratic count for n <= QUADRATIC_LIMIT.
     """
     x, yy = _as_xy(points, y)
     n = x.size
@@ -76,15 +54,7 @@ def kendall_tau(points, y=None, method: str = "auto") -> float:
     _reject_ties("x", x)
     _reject_ties("y", yy)
 
-    if method == "auto":
-        method = "quadratic" if n <= QUADRATIC_LIMIT else "mergesort"
     total = n * (n - 1) // 2
-    if method == "quadratic":
-        net = int(_kernel.net_concordance_quadratic(x, yy))
-    elif method == "mergesort":
-        order = np.argsort(x, kind="stable")
-        discordant = int(_kernel.discordant_by_merge(yy[order]))
-        net = total - 2 * discordant
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return net / total
+    order = np.argsort(x, kind="stable")
+    discordant = int(_kernel.discordant_by_merge(yy[order]))
+    return (total - 2 * discordant) / total

@@ -41,6 +41,14 @@ def classify_pattern(x: float | None, y: float | None) -> int:
     return 3 if _present(y) else 4
 
 
+def _patterns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pattern column of float arrays whose missing cells are NaN."""
+    x_here = ~np.isnan(x)
+    y_here = ~np.isnan(y)
+    return np.where(x_here, np.where(y_here, 1, 2),
+                    np.where(y_here, 3, 4)).astype(np.uint8)
+
+
 @dataclass(frozen=True)
 class ObservationRecord:
     """One possibly incomplete observation; ``z`` must match which fields are set."""
@@ -68,10 +76,7 @@ class Dataset(Sequence):
         self.z = np.asarray(z, dtype=np.uint8)
         if not (self.x.shape == self.y.shape == self.z.shape) or self.x.ndim != 1:
             raise ValueError("x, y, z must be one-dimensional and equally long")
-        x_here = ~np.isnan(self.x)
-        y_here = ~np.isnan(self.y)
-        expect = np.where(x_here, np.where(y_here, 1, 2), np.where(y_here, 3, 4))
-        if not np.array_equal(expect.astype(np.uint8), self.z):
+        if not np.array_equal(_patterns(self.x, self.y), self.z):
             raise ValueError("pattern column inconsistent with missing cells")
 
     @staticmethod
@@ -86,9 +91,7 @@ class Dataset(Sequence):
             ys.append(float(ry) if _present(ry) else np.nan)
         x = np.asarray(xs, dtype=float)
         y = np.asarray(ys, dtype=float)
-        z = np.where(~np.isnan(x), np.where(~np.isnan(y), 1, 2),
-                     np.where(~np.isnan(y), 3, 4))
-        return Dataset(x, y, z)
+        return Dataset(x, y, _patterns(x, y))
 
     def __len__(self) -> int:
         return self.x.size
@@ -168,6 +171,4 @@ def read_csv(path) -> Dataset:
         raise EmptyDataError(f"{path}: empty input")
     x = np.asarray(xs)
     y = np.asarray(ys)
-    z = np.where(~np.isnan(x), np.where(~np.isnan(y), 1, 2),
-                 np.where(~np.isnan(y), 3, 4))
-    return Dataset(x, y, z)
+    return Dataset(x, y, _patterns(x, y))

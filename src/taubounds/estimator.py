@@ -30,6 +30,7 @@ from .bounds import (
     TauInterval,
     ThetaSummary,
     _moment,
+    _pattern_summary,
     clip,
     decide,
     envelope_summary,
@@ -188,8 +189,7 @@ def summarize(records, margins: MarginMode, theta: float | None = None):
     empty patterns stay absent.
     """
     ds = as_dataset(records)
-    n = len(ds)
-    if n == 0:
+    if len(ds) == 0:
         raise EmptyDataError("no records supplied")
     if theta is not None:
         check_theta(theta)
@@ -198,23 +198,11 @@ def summarize(records, margins: MarginMode, theta: float | None = None):
                 "theta-refined bounds are defined only under known margins")
     fx, gy = _transforms(ds, margins)
     _warn_on_ties(ds)
-
-    pat1 = ds.z == 1
-    u1 = fx(ds.x[pat1])
-    v1 = gy(ds.y[pat1])
-    u2 = fx(ds.x[ds.z == 2])
-    v3 = gy(ds.y[ds.z == 3])
-
-    m1, se_m1 = _moment(np.minimum(u1, v1))
-    l1, se_l1 = _moment(np.maximum(u1 + v1 - 1.0, 0.0))
-    m2, se_m2 = _moment(u2)
-    m3, se_m3 = _moment(v3)
-
-    counts = ds.pattern_counts()
-    base = DistSummary(tuple(counts / n), m1, l1, m2, m3,
-                       se=(se_m1, se_l1, se_m2, se_m3), n=n)
+    base = _pattern_summary(ds, (fx, gy), (fx, gy))
     if theta is None:
         return base
+    pat1 = ds.z == 1
+    u1, v1 = fx(ds.x[pat1]), gy(ds.y[pat1])
     m1t, se_m1t = _moment(constrained_upper(theta, u1, v1))
     l1t, se_l1t = _moment(constrained_lower(theta, u1, v1))
     return ThetaSummary(theta, m1t, l1t, base, se=(se_m1t, se_l1t))

@@ -199,6 +199,20 @@ def _run_blocks(task, total: int, workers: int) -> list:
         return [f.result() for f in futures]
 
 
+def _draw_block(config: MgpConfig, seed: int, index: int, size: int):
+    """Block ``index`` of the simulation stream: latent pairs ``uv``, the
+    covariates (x, y) and the drawn pattern z."""
+    rng = _rng_for(int(seed), index)
+    uv = _sample_with(rng, config.copula, size)
+    t = rng.random(size)
+    x, y = _covariates(uv, config.covariate_scale)
+    cum = np.cumsum(propensity(config, x, y), axis=1)
+    z = (1 + (t > cum[:, 0]).astype(np.uint8)
+         + (t > cum[:, 1]).astype(np.uint8)
+         + (t > cum[:, 2]).astype(np.uint8))
+    return uv, x, y, z
+
+
 def simulate_dataset(config: MgpConfig, n: int, seed: int, workers: int = 1) -> Dataset:
     """Simulate ``n`` records; masking follows the drawn pattern.
 
@@ -208,14 +222,7 @@ def simulate_dataset(config: MgpConfig, n: int, seed: int, workers: int = 1) -> 
         raise ValueError(f"n must be >= 1, got {n}")
 
     def task(index: int, size: int):
-        rng = _rng_for(int(seed), index)
-        uv = _sample_with(rng, config.copula, size)
-        t = rng.random(size)
-        x, y = _covariates(uv, config.covariate_scale)
-        cum = np.cumsum(propensity(config, x, y), axis=1)
-        z = (1 + (t > cum[:, 0]).astype(np.uint8)
-             + (t > cum[:, 1]).astype(np.uint8)
-             + (t > cum[:, 2]).astype(np.uint8))
+        _, x, y, z = _draw_block(config, seed, index, size)
         x = np.where((z == 1) | (z == 2), x, np.nan)
         y = np.where((z == 1) | (z == 3), y, np.nan)
         return x, y, z
@@ -227,21 +234,12 @@ def simulate_dataset(config: MgpConfig, n: int, seed: int, workers: int = 1) -> 
 
 
 def _simulate_latent(config: MgpConfig, n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unmasked draws (u, v, z); mirrors :func:`simulate_dataset`'s stream."""
-    us, vs, zs = [], [], []
-    for index, size in enumerate(_block_sizes(int(n))):
-        rng = _rng_for(int(seed), index)
-        uv = _sample_with(rng, config.copula, size)
-        t = rng.random(size)
-        x, y = _covariates(uv, config.covariate_scale)
-        cum = np.cumsum(propensity(config, x, y), axis=1)
-        z = (1 + (t > cum[:, 0]).astype(np.uint8)
-             + (t > cum[:, 1]).astype(np.uint8)
-             + (t > cum[:, 2]).astype(np.uint8))
-        us.append(uv[:, 0])
-        vs.append(uv[:, 1])
-        zs.append(z)
-    return np.concatenate(us), np.concatenate(vs), np.concatenate(zs)
+    """Unmasked draws (u, v, z) of :func:`simulate_dataset`'s stream."""
+    parts = _run_blocks(lambda index, size: _draw_block(config, seed, index, size),
+                        int(n), 1)
+    return (np.concatenate([p[0][:, 0] for p in parts]),
+            np.concatenate([p[0][:, 1] for p in parts]),
+            np.concatenate([p[3] for p in parts]))
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,27 @@ class TestRefined:
             assert envelope.lower <= interval.lower
             assert interval.upper <= envelope.upper
 
+    def test_nesting_check_shares_moment_tolerance(self):
+        # ThetaSummary accepts constrained moments up to _MOMENT_TOL outside
+        # the unconstrained ones; refined() must accept the same summaries,
+        # each end then sitting at most 4 * p1 * _MOMENT_TOL (plus rounding)
+        # outside the worst case, also when p1 is tiny
+        tol = 1e-12
+        rng = np.random.default_rng(4)
+        for p1 in (0.5, 1e-3, 5.6e-5, 1e-9):
+            for _ in range(20):
+                p = (p1, *rng.dirichlet(np.ones(3)) * (1.0 - p1))
+                m1, l1 = rng.uniform(0.3, 0.9), rng.uniform(0.0, 0.2)
+                base = summary(p, m1=m1, l1=l1, m2=rng.uniform(0, 1), m3=rng.uniform(0, 1))
+                envelope = worst_case(base)
+                for m1t, l1t in ((m1 + 5e-13, l1), (m1 + tol, l1 - tol)):
+                    interval = refined(ThetaSummary(0.4, m1t, l1t, base))
+                    assert interval.upper - envelope.upper <= 4 * p1 * tol + 1e-15
+                    assert envelope.lower - interval.lower <= 4 * p1 * tol + 1e-15
+        base = DistSummary((0.5, 0.2, 0.2, 0.1), 0.4, 0.1, 0.5, 0.5)
+        interval = refined(ThetaSummary(0.4, 0.4 + 5e-13, 0.1, base))
+        assert interval.upper > worst_case(base).upper
+
 
 class TestClipAndDecide:
     def test_clip_examples(self):

@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -238,22 +237,3 @@ class TestParser:
         assert _default_workers() == 6
         monkeypatch.setenv("TAUBOUNDS_WORKERS", "junk")
         assert _default_workers() == 1
-
-    def test_forced_fallback_matches_extension(self, tmp_path):
-        # TAUBOUNDS_NO_EXT selects the numpy kernels; results are identical
-        code = ("import os, numpy as np\n"
-                "import taubounds\n"
-                "assert taubounds.HAVE_COMPILED_KERNEL is False\n"
-                "rng = np.random.default_rng(3)\n"
-                "x, y = rng.standard_normal(500), rng.standard_normal(500)\n"
-                "print(repr(taubounds.kendall_tau(x, y)))\n")
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True,
-                              env={**os.environ, "TAUBOUNDS_NO_EXT": "1"})
-        assert proc.returncode == 0, proc.stderr
-        import numpy as np
-        from taubounds import kendall_tau
-
-        rng = np.random.default_rng(3)
-        x, y = rng.standard_normal(500), rng.standard_normal(500)
-        assert proc.stdout.strip() == repr(kendall_tau(x, y))

@@ -20,7 +20,7 @@ from taubounds import (
     simulate_dataset,
     true_tau,
 )
-from taubounds.mgp import _simulate_latent
+from taubounds.mgp import BLOCK_SIZE, _simulate_latent
 
 
 def config_of(gamma, copula=None, scale=CovariateScale.UNIFORM01):
@@ -113,6 +113,19 @@ class TestSimulateDataset:
         assert np.array_equal(ds.z == 2, ~x_missing & y_missing)
         assert np.array_equal(ds.z == 3, x_missing & ~y_missing)
         assert np.array_equal(ds.z == 4, x_missing & y_missing)
+
+    def test_latent_draws_share_the_stream(self):
+        # n spans two blocks; the unmasked draws must be the very stream
+        # simulate_dataset masks
+        config = SCENARIOS["P2"].config()
+        n = BLOCK_SIZE + 1000
+        ds = simulate_dataset(config, n, seed=17)
+        u, v, z = _simulate_latent(config, n, seed=17)
+        assert np.array_equal(ds.z, z)
+        x_seen = ~np.isnan(ds.x)
+        y_seen = ~np.isnan(ds.y)
+        assert np.array_equal(ds.x[x_seen], u[x_seen])
+        assert np.array_equal(ds.y[y_seen], v[y_seen])
 
     def test_worker_independence(self):
         config = SCENARIOS["P2"].config()
