@@ -311,10 +311,17 @@ class StepFunction:
     terminal: float = 1.0
 
     def __call__(self, t) -> float | np.ndarray:
-        idx = np.searchsorted(self.xs, np.asarray(t, dtype=float), side="right")
+        t = np.asarray(t, dtype=float)
         values = np.concatenate(([self.base], self.cum))
-        out = values[idx]
-        return float(out) if np.ndim(t) == 0 else out
+        if t.ndim == 0:
+            return float(values[np.searchsorted(self.xs, t, side="right")])
+        # Searching the keys in sorted order keeps the binary searches in
+        # cache; the indices, scattered back through the argsort, are the same.
+        keys = t.ravel()
+        order = np.argsort(keys)
+        idx = np.empty(keys.size, dtype=np.intp)
+        idx[order] = np.searchsorted(self.xs, keys[order], side="right")
+        return values[idx.reshape(t.shape)]
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ a pure function of the flags and the seed, independent of the worker count.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.resources
 import json
 import os
@@ -53,15 +54,23 @@ def _dump_json(obj, path=None) -> None:
             fh.write(text)
 
 
-def _report_schema() -> dict:
+@functools.cache
+def _report_validator():
+    """Validator for report_schema.json, built on first use and then kept."""
     with importlib.resources.files("taubounds").joinpath("report_schema.json").open(
             "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        schema = json.load(fh)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def _validated_report(report) -> dict:
+    """The report's JSON payload; raises what ``jsonschema.validate`` would."""
     payload = report.to_report_dict()
-    jsonschema.validate(payload, _report_schema())
+    error = jsonschema.exceptions.best_match(_report_validator().iter_errors(payload))
+    if error is not None:
+        raise error
     return payload
 
 

@@ -6,12 +6,15 @@ cells are NaN internally) and behaves as a sequence of
 :class:`ObservationRecord`.
 
 CSV dialect: header ``x,y``; a missing cell is an empty string or the
-literal ``NA``; decimal point only; UTF-8.
+literal ``NA``; decimal point only; UTF-8, with an optional byte-order
+mark. Files are read and written in chunks of rows; see :func:`read_csv`.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -43,10 +46,7 @@ def classify_pattern(x: float | None, y: float | None) -> int:
 
 def _patterns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pattern column of float arrays whose missing cells are NaN."""
-    x_here = ~np.isnan(x)
-    y_here = ~np.isnan(y)
-    return np.where(x_here, np.where(y_here, 1, 2),
-                    np.where(y_here, 3, 4)).astype(np.uint8)
+    return np.uint8(1) + np.uint8(2) * np.isnan(x) + np.isnan(y)
 
 
 @dataclass(frozen=True)
@@ -121,16 +121,28 @@ def as_dataset(records) -> Dataset:
     return Dataset.from_records(records)
 
 
-def _format_cell(value: float) -> str:
-    return "" if np.isnan(value) else repr(float(value))
+# Rows per chunk when writing, and when csv.reader tokenises a chunk.
+_CHUNK_ROWS = 1 << 16
+# Characters read at a time for one chunk of quote-free lines.
+_CHUNK_CHARS = 1 << 20
+# The cells read as missing, each mapped to a token ``float`` reads as NaN.
+_MISSING_AS_NAN = {"": "nan", "NA": "nan"}
+
+
+def _format_column(values: np.ndarray) -> list[str]:
+    """Cells of one column: the shortest round-trip repr, empty for NaN."""
+    return ["" if v != v else repr(v) for v in values.tolist()]
 
 
 def write_csv(dataset: Dataset, path) -> None:
     """Write a dataset in the ``x,y`` dialect with empty cells for missing values."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("x,y\n")
-        for xv, yv in zip(dataset.x, dataset.y):
-            fh.write(f"{_format_cell(xv)},{_format_cell(yv)}\n")
+        for start in range(0, len(dataset), _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            rows = zip(_format_column(dataset.x[start:stop]),
+                       _format_column(dataset.y[start:stop]))
+            fh.write("".join([f"{x},{y}\n" for x, y in rows]))
 
 
 def _parse_cell(token: str, line_number: int, column: str) -> float:
@@ -146,29 +158,130 @@ def _parse_cell(token: str, line_number: int, column: str) -> float:
     return value
 
 
+def _parse_rows(rows, line_number: int) -> tuple[list[float], list[float]]:
+    """Row-by-row parse of csv.reader rows, the first numbered ``line_number``.
+
+    This is the reference reading of the dialect: it raises on the first
+    malformed row, and blank rows are skipped but still numbered.
+    """
+    xs, ys = [], []
+    for line_number, row in enumerate(rows, start=line_number):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise CsvFormatError(line_number, f"expected 2 columns, got {len(row)}")
+        xs.append(_parse_cell(row[0], line_number, "x"))
+        ys.append(_parse_cell(row[1], line_number, "y"))
+    return xs, ys
+
+
+def _split_lines(text: str):
+    """Record count of a chunk of quote-free lines, and its cells split in bulk.
+
+    The cells are a pair of lists, x and y, or None when a non-blank line
+    does not hold exactly one comma or is longer than csv.reader accepts a
+    field to be. Line ends are ``\\n``, ``\\r\\n`` or ``\\r``, as when
+    csv.reader reads a file opened with ``newline=""``.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if not text.endswith("\n"):
+        text += "\n"
+    count = text.count("\n")
+    if "\n\n" in text or text.startswith("\n"):
+        text = "".join(line + "\n" for line in text.split("\n") if line)
+    codes = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    ends = np.flatnonzero(codes == ord("\n"))
+    commas = np.flatnonzero(codes == ord(","))
+    # one comma per line: the k-th comma lies between the (k-1)-th and k-th line end
+    if not (commas.size == ends.size and np.all(commas < ends)
+            and np.all(commas[1:] > ends[:-1])):
+        return count, None
+    if ends.size and np.diff(ends, prepend=-1).max() - 1 > csv.field_size_limit():
+        return count, None
+    cells = text.replace("\n", ",").split(",")
+    cells.pop()  # after the final line end
+    return count, (cells[0::2], cells[1::2])
+
+
+def _split_rows(rows: list[list[str]]):
+    """The x and y cells of csv.reader rows; None unless every non-blank row has two."""
+    rows = [row for row in rows if row]
+    if any(len(row) != 2 for row in rows):
+        return None
+    return tuple(zip(*rows)) or ((), ())
+
+
+def _convert(cells) -> np.ndarray | None:
+    """Float column of cells in one pass; None if a cell needs ``_parse_cell``.
+
+    Exact ``""`` and ``"NA"`` cells are missing. Anything else ``float``
+    rejects, and any non-finite value, sends the chunk to the row-by-row
+    parser, which accepts padded missing cells and reports the rest.
+    """
+    try:
+        values = np.fromiter(map(float, map(_MISSING_AS_NAN.get, cells, cells)),
+                             dtype=float, count=len(cells))
+    except ValueError:
+        return None
+    missing = cells.count("") + cells.count("NA")
+    return values if np.count_nonzero(np.isfinite(values)) + missing == len(cells) else None
+
+
+def _chunks(fh, reader=None):
+    """The remaining records of ``fh``, as (count, rows, cells) chunks.
+
+    ``count`` is the number of records in the chunk, blank ones included;
+    ``rows`` its csv.reader rows, for :func:`_parse_rows`; ``cells`` its x
+    and y cells split in bulk, or None when it must be parsed row by row.
+    Until a chunk holds a quote, one line is one record and the lines are
+    split by :func:`_split_lines`. From then on (or from the start, when
+    ``reader`` is given) one csv.reader tokenises the rest of the file, so
+    a quoted cell may span lines.
+    """
+    while reader is None:
+        text = fh.read(_CHUNK_CHARS)
+        if not text:
+            return
+        text += fh.readline()  # up to the end of the line the read stopped in
+        lines = io.StringIO(text, newline="")
+        if '"' not in text:
+            count, cells = _split_lines(text)
+            yield count, csv.reader(lines), cells
+            continue
+        reader = csv.reader(itertools.chain(lines, fh))
+    while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
+        yield len(rows), rows, _split_rows(rows)
+
+
 def read_csv(path) -> Dataset:
     """Read a dataset written in the ``x,y`` dialect.
 
     Raises :class:`CsvFormatError` (with the offending line number) on
     malformed rows and :class:`EmptyDataError` when no data rows exist.
+    Valid chunks are converted in bulk; a chunk that fails is parsed again
+    row by row, which names the first offending line.
     """
     xs, ys = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        first = fh.readline()
+        if not first:
             raise EmptyDataError(f"{path}: empty input")
+        reader = csv.reader(itertools.chain([first], fh))
+        header = next(reader)
         if [h.strip().lower() for h in header] != ["x", "y"]:
             raise CsvFormatError(1, f"expected header 'x,y', got {','.join(header)!r}")
-        for line_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise CsvFormatError(line_number, f"expected 2 columns, got {len(row)}")
-            xs.append(_parse_cell(row[0], line_number, "x"))
-            ys.append(_parse_cell(row[1], line_number, "y"))
-    if not xs:
+        line_number = 2
+        for count, rows, cells in _chunks(fh, reader if '"' in first else None):
+            x = y = None
+            if cells is not None:
+                x, y = _convert(cells[0]), _convert(cells[1])
+            if x is None or y is None:
+                x, y = (np.asarray(col, dtype=float) for col in _parse_rows(rows, line_number))
+            xs.append(x)
+            ys.append(y)
+            line_number += count
+    if not any(x.size for x in xs):
         raise EmptyDataError(f"{path}: empty input")
-    x = np.asarray(xs)
-    y = np.asarray(ys)
+    x, y = np.concatenate(xs), np.concatenate(ys)
     return Dataset(x, y, _patterns(x, y))

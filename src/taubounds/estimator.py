@@ -102,7 +102,7 @@ class CdfTable:
         """Read a ``value,cdf`` table; a non-numeric first row is treated as a header."""
         knots, values = [], []
         header_allowed = True
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             for row in csv.reader(fh):
                 if not row:
                     continue

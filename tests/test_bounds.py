@@ -15,6 +15,7 @@ from taubounds import (
     IntervalKind,
     InvalidSummaryError,
     ObservationRecord,
+    StepFunction,
     TauInterval,
     ThetaSummary,
     clip,
@@ -257,6 +258,20 @@ class TestMarginalCdfBounds:
             assert env.lower_f(t) == 0.0
             assert env.upper_f(t) == 1.0
         assert env.lower_f.terminal == 1.0
+
+    def test_step_function_matches_unsorted_search(self):
+        rng = np.random.default_rng(11)
+        xs = np.unique(rng.integers(0, 50, 40) / 7.0)
+        step = StepFunction(xs, np.linspace(0.1, 0.9, xs.size), base=0.05)
+        keys = np.concatenate([rng.integers(-5, 60, 500) / 7.0, xs, [np.nan, -np.inf]])
+        rng.shuffle(keys)
+        values = np.concatenate(([step.base], step.cum))
+        expected = values[np.searchsorted(step.xs, keys, side="right")]
+        assert step(keys).tobytes() == expected.tobytes()
+        grid = keys[:500].reshape(20, 25)
+        assert step(grid).tobytes() == expected[:500].reshape(20, 25).tobytes()
+        assert step(float(xs[3])) == float(step.cum[3])
+        assert step(np.empty(0)).shape == (0,)
 
     def test_hand_example(self):
         env = marginal_cdf_bounds(records_fixture())

@@ -4,11 +4,14 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
+from types import SimpleNamespace
 
+import jsonschema
 import numpy as np
 import pytest
 
-from taubounds import population_bounds, read_csv, write_csv, Dataset
+from taubounds import MarginMode, analyze, cli, population_bounds, read_csv, write_csv, Dataset
 from taubounds.cli import main
 
 
@@ -43,6 +46,23 @@ class TestAnalyzeCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["margins_mode"] == "unknown"
         assert payload["refined"] is None
+
+    def test_report_validator_raises_what_jsonschema_validate_raises(self, tmp_path):
+        data = tmp_path / "data.csv"
+        run_cli("simulate", "--scenario", "P3", "--n", "300", "--seed", "2",
+                "--output", str(data))
+        report = analyze(read_csv(data), MarginMode.uniform01(), theta=0.4)
+        assert cli._validated_report(report) == report.to_report_dict()
+        payload = report.to_report_dict()
+        payload["decision"] = "maybe"
+        del payload["n"]
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(payload, json.loads(
+                (Path(cli.__file__).parent / "report_schema.json").read_text()))
+        with pytest.raises(jsonschema.ValidationError) as got:
+            cli._validated_report(SimpleNamespace(to_report_dict=lambda: payload))
+        assert str(got.value) == str(expected.value)
+        assert cli._report_validator() is cli._report_validator()
 
     def test_empty_input_exit_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
