@@ -312,16 +312,14 @@ class StepFunction:
 
     def __call__(self, t) -> float | np.ndarray:
         t = np.asarray(t, dtype=float)
-        values = np.concatenate(([self.base], self.cum))
-        if t.ndim == 0:
-            return float(values[np.searchsorted(self.xs, t, side="right")])
         # Searching the keys in sorted order keeps the binary searches in
         # cache; the indices, scattered back through the argsort, are the same.
         keys = t.ravel()
         order = np.argsort(keys)
         idx = np.empty(keys.size, dtype=np.intp)
         idx[order] = np.searchsorted(self.xs, keys[order], side="right")
-        return values[idx.reshape(t.shape)]
+        out = np.concatenate(([self.base], self.cum))[idx.reshape(t.shape)]
+        return float(out) if t.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ mark. Files are read and written in chunks of rows; see :func:`read_csv`.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import math
 from collections.abc import Iterable, Sequence
@@ -121,10 +120,10 @@ def as_dataset(records) -> Dataset:
     return Dataset.from_records(records)
 
 
-# Rows per chunk when writing, and when csv.reader tokenises a chunk.
-_CHUNK_ROWS = 1 << 16
-# Characters read at a time for one chunk of quote-free lines.
-_CHUNK_CHARS = 1 << 20
+# Rows per chunk, when writing and when reading. Small, so that a chunk's
+# csv.reader rows are freed before the cyclic garbage collector scans them
+# again and again: with 2^16 rows a 10^6-row read took about 1.5x as long.
+_CHUNK_ROWS = 1 << 9
 # The cells read as missing, each mapped to a token ``float`` reads as NaN.
 _MISSING_AS_NAN = {"": "nan", "NA": "nan"}
 
@@ -175,41 +174,12 @@ def _parse_rows(rows, line_number: int) -> tuple[list[float], list[float]]:
     return xs, ys
 
 
-def _split_lines(text: str):
-    """Record count of a chunk of quote-free lines, and its cells split in bulk.
-
-    The cells are a pair of lists, x and y, or None when a non-blank line
-    does not hold exactly one comma or is longer than csv.reader accepts a
-    field to be. Line ends are ``\\n``, ``\\r\\n`` or ``\\r``, as when
-    csv.reader reads a file opened with ``newline=""``.
-    """
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    if not text.endswith("\n"):
-        text += "\n"
-    count = text.count("\n")
-    if "\n\n" in text or text.startswith("\n"):
-        text = "".join(line + "\n" for line in text.split("\n") if line)
-    codes = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    ends = np.flatnonzero(codes == ord("\n"))
-    commas = np.flatnonzero(codes == ord(","))
-    # one comma per line: the k-th comma lies between the (k-1)-th and k-th line end
-    if not (commas.size == ends.size and np.all(commas < ends)
-            and np.all(commas[1:] > ends[:-1])):
-        return count, None
-    if ends.size and np.diff(ends, prepend=-1).max() - 1 > csv.field_size_limit():
-        return count, None
-    cells = text.replace("\n", ",").split(",")
-    cells.pop()  # after the final line end
-    return count, (cells[0::2], cells[1::2])
-
-
 def _split_rows(rows: list[list[str]]):
     """The x and y cells of csv.reader rows; None unless every non-blank row has two."""
-    rows = [row for row in rows if row]
-    if any(len(row) != 2 for row in rows):
+    if not set(map(len, rows)) <= {0, 2}:
         return None
-    return tuple(zip(*rows)) or ((), ())
+    cells = list(itertools.chain.from_iterable(rows))
+    return cells[0::2], cells[1::2]
 
 
 def _convert(cells) -> np.ndarray | None:
@@ -228,59 +198,33 @@ def _convert(cells) -> np.ndarray | None:
     return values if np.count_nonzero(np.isfinite(values)) + missing == len(cells) else None
 
 
-def _chunks(fh, reader=None):
-    """The remaining records of ``fh``, as (count, rows, cells) chunks.
-
-    ``count`` is the number of records in the chunk, blank ones included;
-    ``rows`` its csv.reader rows, for :func:`_parse_rows`; ``cells`` its x
-    and y cells split in bulk, or None when it must be parsed row by row.
-    Until a chunk holds a quote, one line is one record and the lines are
-    split by :func:`_split_lines`. From then on (or from the start, when
-    ``reader`` is given) one csv.reader tokenises the rest of the file, so
-    a quoted cell may span lines.
-    """
-    while reader is None:
-        text = fh.read(_CHUNK_CHARS)
-        if not text:
-            return
-        text += fh.readline()  # up to the end of the line the read stopped in
-        lines = io.StringIO(text, newline="")
-        if '"' not in text:
-            count, cells = _split_lines(text)
-            yield count, csv.reader(lines), cells
-            continue
-        reader = csv.reader(itertools.chain(lines, fh))
-    while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
-        yield len(rows), rows, _split_rows(rows)
-
-
 def read_csv(path) -> Dataset:
     """Read a dataset written in the ``x,y`` dialect.
 
     Raises :class:`CsvFormatError` (with the offending line number) on
     malformed rows and :class:`EmptyDataError` when no data rows exist.
-    Valid chunks are converted in bulk; a chunk that fails is parsed again
-    row by row, which names the first offending line.
+    One csv.reader tokenises the file; its rows are converted in bulk,
+    ``_CHUNK_ROWS`` at a time. A chunk that fails is parsed again row by
+    row, which names the first offending line.
     """
     xs, ys = [], []
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        first = fh.readline()
-        if not first:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise EmptyDataError(f"{path}: empty input")
-        reader = csv.reader(itertools.chain([first], fh))
-        header = next(reader)
         if [h.strip().lower() for h in header] != ["x", "y"]:
             raise CsvFormatError(1, f"expected header 'x,y', got {','.join(header)!r}")
         line_number = 2
-        for count, rows, cells in _chunks(fh, reader if '"' in first else None):
+        while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
             x = y = None
-            if cells is not None:
+            if (cells := _split_rows(rows)) is not None:
                 x, y = _convert(cells[0]), _convert(cells[1])
             if x is None or y is None:
                 x, y = (np.asarray(col, dtype=float) for col in _parse_rows(rows, line_number))
             xs.append(x)
             ys.append(y)
-            line_number += count
+            line_number += len(rows)
     if not any(x.size for x in xs):
         raise EmptyDataError(f"{path}: empty input")
     x, y = np.concatenate(xs), np.concatenate(ys)

@@ -124,18 +124,15 @@ def csv_texts(draw):
 
 @settings(max_examples=600, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=csv_texts(), chunk_chars=st.sampled_from([1, 2, 7, 40, data._CHUNK_CHARS]),
-       chunk_rows=st.sampled_from([1, 2, 3, data._CHUNK_ROWS]))
-@example(text="x,y\n0.5\n0.25,0.5,0.75\n", chunk_chars=data._CHUNK_CHARS,
-         chunk_rows=data._CHUNK_ROWS)
-@example(text='x,y\n0.5,0.25\n"0.5\n",0.25\n', chunk_chars=1, chunk_rows=1)
-@example(text="x,y\r\n\r\n0.5,NA\r\r,\n\n", chunk_chars=2, chunk_rows=1)
-@example(text="x,y\r" + "0.5,0.25\r" * 4 + "junk,1\r", chunk_chars=12, chunk_rows=1)
-def test_reader_matches_row_by_row_oracle(tmp_path, text, chunk_chars, chunk_rows):
+@given(text=csv_texts(), chunk_rows=st.sampled_from([1, 2, 3, data._CHUNK_ROWS]))
+@example(text="x,y\n0.5\n0.25,0.5,0.75\n", chunk_rows=data._CHUNK_ROWS)
+@example(text='x,y\n0.5,0.25\n"0.5\n",0.25\n', chunk_rows=1)
+@example(text="x,y\r\n\r\n0.5,NA\r\r,\n\n", chunk_rows=1)
+@example(text="x,y\r" + "0.5,0.25\r" * 4 + "junk,1\r", chunk_rows=1)
+def test_reader_matches_row_by_row_oracle(tmp_path, text, chunk_rows):
     path = tmp_path / "in.csv"
     path.write_bytes(text.encode("utf-8"))
-    with mock.patch.object(data, "_CHUNK_CHARS", chunk_chars), \
-            mock.patch.object(data, "_CHUNK_ROWS", chunk_rows):
+    with mock.patch.object(data, "_CHUNK_ROWS", chunk_rows):
         got = _outcome(read_csv, path)
     assert got == _outcome(oracle_read_csv, path)
 
@@ -160,11 +157,11 @@ def _big_text(rng, n, bad_line=None, bad_row=None, quote_line=None):
     (180_001, "0.5", 90_000),
 ])
 def test_reader_matches_oracle_across_real_chunks(tmp_path, bad_line, bad_row, quote_line):
-    # 200k rows span several chunks of the default size, so the error or
-    # the first quote falls in a later chunk than the first
+    # 200k rows span many chunks of the default size, so the error or the
+    # first quote falls in a later chunk than the first
     path = tmp_path / "big.csv"
     text = _big_text(np.random.default_rng(5), 200_000, bad_line, bad_row, quote_line)
-    assert len(text) > 3 * data._CHUNK_CHARS
+    assert 200_000 > 3 * data._CHUNK_ROWS
     path.write_text(text, encoding="utf-8")
     got = _outcome(read_csv, path)
     assert got == _outcome(oracle_read_csv, path)
@@ -173,8 +170,8 @@ def test_reader_matches_oracle_across_real_chunks(tmp_path, bad_line, bad_row, q
 
 
 def test_reader_keeps_csv_field_size_limit(tmp_path):
-    # csv.reader rejects a field longer than csv.field_size_limit(); this
-    # one would otherwise read as 0.0, since the value underflows
+    # csv.reader rejects a field longer than csv.field_size_limit(), which
+    # would otherwise read as 0.0, since the value underflows
     path = tmp_path / "long.csv"
     path.write_text("x,y\n0.5,0.5\n0." + "0" * 200_000 + "1,0.5\n", encoding="utf-8")
     got = _outcome(read_csv, path)
