@@ -25,7 +25,6 @@ from .bounds import (
     marginal_cdf_bounds,
     refined,
     worst_case,
-    worst_case_unknown_margins,
 )
 from .concordance import HAVE_COMPILED_KERNEL, kendall_tau
 from .copulas import (
@@ -34,13 +33,9 @@ from .copulas import (
     constrained_lower,
     constrained_upper,
     extremal_expectation,
-    frechet_lower,
-    frechet_upper,
     sample_copula,
-    std_normal_cdf,
-    std_normal_quantile,
 )
-from .data import Dataset, ObservationRecord, classify_pattern, read_csv, write_csv
+from .data import Dataset, read_csv, write_csv
 from .errors import (
     CsvFormatError,
     DomainError,
@@ -75,12 +70,11 @@ __all__ = [
     "__version__",
     "Decision", "DistSummary", "IntervalKind", "StepFunction", "SteppedCdfBounds",
     "TauInterval", "ThetaSummary", "clip", "decide", "envelope_summary",
-    "marginal_cdf_bounds", "refined", "worst_case", "worst_case_unknown_margins",
+    "marginal_cdf_bounds", "refined", "worst_case",
     "HAVE_COMPILED_KERNEL", "kendall_tau",
     "CopulaKind", "CopulaSpec", "constrained_lower", "constrained_upper",
-    "extremal_expectation", "frechet_lower", "frechet_upper", "sample_copula",
-    "std_normal_cdf", "std_normal_quantile",
-    "Dataset", "ObservationRecord", "classify_pattern", "read_csv", "write_csv",
+    "extremal_expectation", "sample_copula",
+    "Dataset", "read_csv", "write_csv",
     "CsvFormatError", "DomainError", "EmptyDataError", "IncoherentIntervalError",
     "InvalidSummaryError", "MarginTableError", "QuadratureError", "TauBoundsError",
     "TieError", "TiedDataWarning", "UnsupportedAnalysisError",

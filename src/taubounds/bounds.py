@@ -28,7 +28,7 @@ import numpy as np
 
 from .copulas import check_theta
 from .data import Dataset, as_dataset
-from .errors import EmptyDataError, IncoherentIntervalError, InvalidSummaryError
+from .errors import IncoherentIntervalError, InvalidSummaryError
 
 __all__ = [
     "Decision",
@@ -44,7 +44,6 @@ __all__ = [
     "decide",
     "marginal_cdf_bounds",
     "envelope_summary",
-    "worst_case_unknown_margins",
 ]
 
 _SIMPLEX_TOL = 1e-12
@@ -148,6 +147,12 @@ class ThetaSummary:
     ``m1_theta`` / ``l1_theta`` are the pattern-1 means of the upper and
     lower constrained surfaces at level ``theta``; ``se`` holds their
     standard errors when estimated.
+
+    Construction enforces l1 <= l1_theta <= m1_theta <= m1 up to
+    ``_MOMENT_TOL``. The affine bound map and its rounding are monotone in
+    these moments, so :func:`refined` of any accepted summary is nested in
+    the worst-case interval of ``base``, widened by that tolerance carried
+    through the map.
     """
 
     theta: float
@@ -234,23 +239,13 @@ def refined(summary: ThetaSummary) -> TauInterval:
     """Median-constrained identified set (raw, unclipped).
 
     Same affine map as :func:`worst_case` with the pattern-1 moments
-    replaced by the constrained-surface means. The result is verified to be
-    nested inside the worst-case interval of the embedded summary, widened
-    by the moment tolerance :class:`ThetaSummary` allows, carried through
-    the affine map; violation indicates mutually inconsistent inputs.
+    replaced by the constrained-surface means. The result is nested in the
+    worst-case interval of the embedded summary, widened by the moment
+    tolerance :class:`ThetaSummary` allows, carried through the affine map:
+    that class enforces the moment ordering, and the map is monotone in it.
     """
-    base = summary.base
-    interval = _interval(IntervalKind.REFINED, base, summary.m1_theta,
-                         summary.l1_theta, summary.se)
-    # the same expressions ThetaSummary checks against; rounding is monotone,
-    # so every summary it accepts passes
-    envelope = _interval(IntervalKind.WORST_CASE, base, (base.m1 or 0.0) + _MOMENT_TOL,
-                         (base.l1 or 0.0) - _MOMENT_TOL)
-    if interval.lower < envelope.lower or interval.upper > envelope.upper:
-        raise InvalidSummaryError(
-            "refined interval not nested in the worst-case interval; "
-            "summary moments are mutually inconsistent")
-    return interval
+    return _interval(IntervalKind.REFINED, summary.base, summary.m1_theta,
+                     summary.l1_theta, summary.se)
 
 
 def clip(interval: TauInterval) -> TauInterval:
@@ -361,8 +356,6 @@ def marginal_cdf_bounds(records) -> SteppedCdfBounds:
     """
     ds = as_dataset(records)
     n = len(ds)
-    if n == 0:
-        raise EmptyDataError("no records supplied")
     counts = ds.pattern_counts()
     x_obs = ds.x[~np.isnan(ds.x)]
     y_obs = ds.y[~np.isnan(ds.y)]
@@ -410,18 +403,6 @@ def envelope_summary(records, cdf_bounds: SteppedCdfBounds) -> DistSummary:
     worst case over all margins admissible under ``cdf_bounds``.
     """
     ds = as_dataset(records)
-    if len(ds) == 0:
-        raise EmptyDataError("no records supplied")
     return _pattern_summary(ds, (cdf_bounds.upper_f, cdf_bounds.upper_g),
                             (cdf_bounds.lower_f, cdf_bounds.lower_g))
 
-
-def worst_case_unknown_margins(records, cdf_bounds: SteppedCdfBounds) -> TauInterval:
-    """Worst-case interval when the marginal CDFs are themselves unknown.
-
-    Substitutes the upper envelopes into the upper-bound formula and the
-    lower envelopes into the lower-bound formula, evaluated at the observed
-    cells. Weakly wider than the known-margins interval for any admissible
-    pair of margins, and still brackets zero.
-    """
-    return worst_case(envelope_summary(records, cdf_bounds))

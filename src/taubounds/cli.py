@@ -8,6 +8,7 @@ a pure function of the flags and the seed, independent of the worker count.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import importlib.resources
 import json
@@ -342,7 +343,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TauBoundsError, ValueError, KeyError) as exc:
+    except (TauBoundsError, ValueError, KeyError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -28,12 +28,8 @@ from .errors import DomainError, QuadratureError
 __all__ = [
     "CopulaKind",
     "CopulaSpec",
-    "frechet_lower",
-    "frechet_upper",
     "constrained_lower",
     "constrained_upper",
-    "std_normal_cdf",
-    "std_normal_quantile",
     "sample_copula",
     "extremal_expectation",
 ]
@@ -101,18 +97,6 @@ def _maybe_scalar(result: np.ndarray, *inputs) -> float | np.ndarray:
     return result
 
 
-def frechet_lower(u, v) -> float | np.ndarray:
-    """Lower envelope ``max(u + v - 1, 0)`` of every bivariate copula."""
-    uu, vv = _unit("u", u), _unit("v", v)
-    return _maybe_scalar(np.maximum(uu + vv - 1.0, 0.0), u, v)
-
-
-def frechet_upper(u, v) -> float | np.ndarray:
-    """Upper envelope ``min(u, v)`` of every bivariate copula."""
-    uu, vv = _unit("u", u), _unit("v", v)
-    return _maybe_scalar(np.minimum(uu, vv), u, v)
-
-
 def check_theta(theta: float) -> float:
     """Validate a median-quadrant probability; must lie in [0, 1/2]."""
     th = float(theta)
@@ -125,8 +109,8 @@ def constrained_lower(theta: float, u, v) -> float | np.ndarray:
     """Lower copula envelope under the constraint ``C(1/2, 1/2) = theta``.
 
     Evaluates ``max(max(u + v - 1, 0), theta - (1/2 - u)^+ - (1/2 - v)^+)``.
-    Dominates :func:`frechet_lower` pointwise and equals ``theta`` at the
-    median point (1/2, 1/2).
+    Dominates the lower envelope ``max(u + v - 1, 0)`` pointwise, equals it
+    at ``theta = 0``, and equals ``theta`` at the median point (1/2, 1/2).
     """
     th = check_theta(theta)
     uu, vv = _unit("u", u), _unit("v", v)
@@ -139,26 +123,14 @@ def constrained_upper(theta: float, u, v) -> float | np.ndarray:
     """Upper copula envelope under the constraint ``C(1/2, 1/2) = theta``.
 
     Evaluates ``min(min(u, v), theta + (u - 1/2)^+ + (v - 1/2)^+)``.
+    Is dominated by the upper envelope ``min(u, v)`` pointwise and equals
+    it at ``theta = 1/2``.
     """
     th = check_theta(theta)
     uu, vv = _unit("u", u), _unit("v", v)
     cap = th + np.maximum(uu - 0.5, 0.0) + np.maximum(vv - 0.5, 0.0)
     out = np.minimum(np.minimum(uu, vv), cap)
     return _maybe_scalar(out, u, v)
-
-
-def std_normal_cdf(x) -> float | np.ndarray:
-    """Standard normal CDF (absolute error below 1e-15)."""
-    out = special.ndtr(np.asarray(x, dtype=float))
-    return _maybe_scalar(out, x)
-
-
-def std_normal_quantile(q) -> float | np.ndarray:
-    """Inverse of :func:`std_normal_cdf`; defined on the open interval (0, 1)."""
-    arr = np.asarray(q, dtype=float)
-    if arr.size and (not np.all(np.isfinite(arr)) or arr.min() <= 0.0 or arr.max() >= 1.0):
-        raise DomainError("quantile argument must lie strictly inside (0, 1)")
-    return _maybe_scalar(special.ndtri(arr), q)
 
 
 def _sample_with(rng: np.random.Generator, spec: CopulaSpec, count: int) -> np.ndarray:

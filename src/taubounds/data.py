@@ -1,9 +1,9 @@
-"""Observation records with missingness patterns, and their CSV form.
+"""Incomplete (x, y) records and their CSV form.
 
-Patterns: 1 = both coordinates observed, 2 = only x, 3 = only y,
-4 = neither. A :class:`Dataset` stores records in flat arrays (missing
-cells are NaN internally) and behaves as a sequence of
-:class:`ObservationRecord`.
+A :class:`Dataset` holds the records as two float columns, NaN marking a
+missing cell, and derives from them the missingness pattern of each
+record: 1 = both coordinates observed, 2 = only x, 3 = only y,
+4 = neither.
 
 CSV dialect: header ``x,y``; a missing cell is an empty string or the
 literal ``NA``; decimal point only; UTF-8, with an optional byte-order
@@ -15,32 +15,18 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable
 
 import numpy as np
 
-from .errors import CsvFormatError, EmptyDataError
+from .errors import CsvFormatError, DomainError, EmptyDataError
 
 __all__ = [
-    "ObservationRecord",
     "Dataset",
-    "classify_pattern",
     "as_dataset",
     "read_csv",
     "write_csv",
 ]
-
-
-def _present(value) -> bool:
-    return value is not None and not (isinstance(value, float) and math.isnan(value))
-
-
-def classify_pattern(x: float | None, y: float | None) -> int:
-    """Missingness pattern of a record: 1 both, 2 only x, 3 only y, 4 neither."""
-    if _present(x):
-        return 1 if _present(y) else 2
-    return 3 if _present(y) else 4
 
 
 def _patterns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -48,76 +34,52 @@ def _patterns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.uint8(1) + np.uint8(2) * np.isnan(x) + np.isnan(y)
 
 
-@dataclass(frozen=True)
-class ObservationRecord:
-    """One possibly incomplete observation; ``z`` must match which fields are set."""
+class Dataset:
+    """Records as columns ``x`` and ``y`` (NaN = missing) and their patterns ``z``.
 
-    x: float | None
-    y: float | None
-    z: int
+    Every value is finite or NaN; an infinite one raises
+    :class:`DomainError`, so every dataset survives a CSV round trip.
+    """
 
-    def __post_init__(self):
-        if self.z != classify_pattern(self.x, self.y):
-            raise ValueError(
-                f"pattern {self.z} inconsistent with presence of (x={self.x!r}, y={self.y!r})")
-
-    @staticmethod
-    def of(x: float | None, y: float | None) -> "ObservationRecord":
-        return ObservationRecord(x, y, classify_pattern(x, y))
-
-
-class Dataset(Sequence):
-    """Array-backed sequence of observation records."""
-
-    def __init__(self, x: np.ndarray, y: np.ndarray, z: np.ndarray):
+    def __init__(self, x: np.ndarray, y: np.ndarray):
         self.x = np.asarray(x, dtype=float)
         self.y = np.asarray(y, dtype=float)
-        self.z = np.asarray(z, dtype=np.uint8)
-        if not (self.x.shape == self.y.shape == self.z.shape) or self.x.ndim != 1:
-            raise ValueError("x, y, z must be one-dimensional and equally long")
-        if not np.array_equal(_patterns(self.x, self.y), self.z):
-            raise ValueError("pattern column inconsistent with missing cells")
+        if self.x.shape != self.y.shape or self.x.ndim != 1:
+            raise ValueError("x and y must be one-dimensional and equally long")
+        for name, values in (("x", self.x), ("y", self.y)):
+            if np.isinf(values).any():
+                raise DomainError(f"non-finite {name} value; a missing cell is NaN")
+        self.z = _patterns(self.x, self.y)
 
     @staticmethod
     def from_records(records: Iterable) -> "Dataset":
+        """Dataset of (x, y) pairs, in which ``None`` or NaN marks a missing cell."""
         xs, ys = [], []
-        for rec in records:
-            if isinstance(rec, ObservationRecord):
-                rx, ry = rec.x, rec.y
-            else:
-                rx, ry = rec
-            xs.append(float(rx) if _present(rx) else np.nan)
-            ys.append(float(ry) if _present(ry) else np.nan)
-        x = np.asarray(xs, dtype=float)
-        y = np.asarray(ys, dtype=float)
-        return Dataset(x, y, _patterns(x, y))
+        for x, y in records:
+            xs.append(math.nan if x is None else x)
+            ys.append(math.nan if y is None else y)
+        return Dataset(xs, ys)
 
     def __len__(self) -> int:
         return self.x.size
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Dataset(self.x[index], self.y[index], self.z[index])
-        xv, yv = self.x[index], self.y[index]
-        return ObservationRecord(
-            None if np.isnan(xv) else float(xv),
-            None if np.isnan(yv) else float(yv),
-            int(self.z[index]),
-        )
 
     def pattern_counts(self) -> np.ndarray:
         """Counts of patterns 1..4 as a length-4 integer array."""
         return np.bincount(self.z, minlength=5)[1:5]
 
     def permuted(self, order: np.ndarray) -> "Dataset":
-        return Dataset(self.x[order], self.y[order], self.z[order])
+        return Dataset(self.x[order], self.y[order])
 
 
 def as_dataset(records) -> Dataset:
-    """Coerce a Dataset or an iterable of records / (x, y) pairs to a Dataset."""
-    if isinstance(records, Dataset):
-        return records
-    return Dataset.from_records(records)
+    """A Dataset, or (x, y) pairs made into one; raises :class:`EmptyDataError` if empty.
+
+    The public analysis functions check their input here and nowhere else.
+    """
+    ds = records if isinstance(records, Dataset) else Dataset.from_records(records)
+    if len(ds) == 0:
+        raise EmptyDataError("no records supplied")
+    return ds
 
 
 # Rows per chunk, when writing and when reading. Small, so that a chunk's
@@ -227,5 +189,4 @@ def read_csv(path) -> Dataset:
             line_number += len(rows)
     if not any(x.size for x in xs):
         raise EmptyDataError(f"{path}: empty input")
-    x, y = np.concatenate(xs), np.concatenate(ys)
-    return Dataset(x, y, _patterns(x, y))
+    return Dataset(np.concatenate(xs), np.concatenate(ys))

@@ -39,20 +39,14 @@ from .bounds import (
     worst_case,
 )
 from .copulas import check_theta, constrained_lower, constrained_upper
-from .data import Dataset, as_dataset, classify_pattern  # noqa: F401  (re-exported)
-from .errors import (
-    EmptyDataError,
-    MarginTableError,
-    TiedDataWarning,
-    UnsupportedAnalysisError,
-)
+from .data import Dataset, as_dataset
+from .errors import MarginTableError, TiedDataWarning, UnsupportedAnalysisError
 
 __all__ = [
     "MarginKind",
     "CdfTable",
     "MarginMode",
     "AnalysisReport",
-    "classify_pattern",
     "summarize",
     "analyze",
 ]
@@ -171,7 +165,7 @@ def _warn_on_ties(ds: Dataset) -> None:
                           TiedDataWarning, stacklevel=3)
 
 
-def _transforms(ds: Dataset, margins: MarginMode):
+def _transforms(margins: MarginMode):
     if margins.kind is MarginKind.UNIFORM01:
         return _uniform_cdf, _uniform_cdf
     if margins.kind is MarginKind.FROM_FILE:
@@ -186,17 +180,13 @@ def summarize(records, margins: MarginMode, theta: float | None = None):
 
     Returns a :class:`DistSummary`, or a :class:`ThetaSummary` when
     ``theta`` is given. Sampling standard errors are attached; moments of
-    empty patterns stay absent.
+    empty patterns stay absent. Unknown margins raise
+    :class:`UnsupportedAnalysisError`; :func:`analyze` handles them.
     """
     ds = as_dataset(records)
-    if len(ds) == 0:
-        raise EmptyDataError("no records supplied")
     if theta is not None:
         check_theta(theta)
-        if margins.kind is MarginKind.UNKNOWN:
-            raise UnsupportedAnalysisError(
-                "theta-refined bounds are defined only under known margins")
-    fx, gy = _transforms(ds, margins)
+    fx, gy = _transforms(margins)
     _warn_on_ties(ds)
     base = _pattern_summary(ds, (fx, gy), (fx, gy))
     if theta is None:
@@ -275,8 +265,6 @@ def analyze(records, margins: MarginMode, theta: float | None = None,
 
     ds = as_dataset(records)
     n = len(ds)
-    if n == 0:
-        raise EmptyDataError("no records supplied")
 
     cdf_bounds = None
     refined_raw = refined_clipped = None

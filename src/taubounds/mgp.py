@@ -225,12 +225,11 @@ def simulate_dataset(config: MgpConfig, n: int, seed: int, workers: int = 1) -> 
         _, x, y, z = _draw_block(config, seed, index, size)
         x = np.where((z == 1) | (z == 2), x, np.nan)
         y = np.where((z == 1) | (z == 3), y, np.nan)
-        return x, y, z
+        return x, y
 
     parts = _run_blocks(task, int(n), workers)
     return Dataset(np.concatenate([p[0] for p in parts]),
-                   np.concatenate([p[1] for p in parts]),
-                   np.concatenate([p[2] for p in parts]))
+                   np.concatenate([p[1] for p in parts]))
 
 
 def _simulate_latent(config: MgpConfig, n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -10,11 +10,9 @@ from taubounds import (
     Dataset,
     Decision,
     DistSummary,
-    EmptyDataError,
     IncoherentIntervalError,
     IntervalKind,
     InvalidSummaryError,
-    ObservationRecord,
     StepFunction,
     TauInterval,
     ThetaSummary,
@@ -24,7 +22,6 @@ from taubounds import (
     marginal_cdf_bounds,
     refined,
     worst_case,
-    worst_case_unknown_margins,
 )
 from taubounds.mgp import simulate_dataset, MgpConfig, CovariateScale
 from taubounds.copulas import CopulaSpec
@@ -234,12 +231,7 @@ class TestClipAndDecide:
 
 
 def records_fixture():
-    return [
-        ObservationRecord.of(1.0, None),
-        ObservationRecord.of(2.0, 3.0),
-        ObservationRecord.of(None, None),
-        ObservationRecord.of(None, 5.0),
-    ]
+    return [(1.0, None), (2.0, 3.0), (None, None), (None, 5.0)]
 
 
 class TestMarginalCdfBounds:
@@ -295,10 +287,6 @@ class TestMarginalCdfBounds:
         assert np.all(np.diff(env.upper_f(ts)) >= 0)
         assert env.lower_f.terminal == env.upper_f.terminal == 1.0
 
-    def test_empty_input(self):
-        with pytest.raises(EmptyDataError):
-            marginal_cdf_bounds([])
-
 
 class TestWorstCaseUnknownMargins:
     def test_complete_data_matches_known_route(self):
@@ -307,7 +295,7 @@ class TestWorstCaseUnknownMargins:
         ys = rng.random(40)
         ds = Dataset.from_records(list(zip(xs, ys)))
         env = marginal_cdf_bounds(ds)
-        interval = worst_case_unknown_margins(ds, env)
+        interval = worst_case(envelope_summary(ds, env))
         # with complete data the envelopes are the empirical CDFs
         u = np.array([np.mean(xs <= x) for x in xs])
         v = np.array([np.mean(ys <= y) for y in ys])
@@ -319,7 +307,7 @@ class TestWorstCaseUnknownMargins:
 
     def test_all_missing_raw(self):
         ds = Dataset.from_records([(None, None)] * 7)
-        interval = worst_case_unknown_margins(ds, marginal_cdf_bounds(ds))
+        interval = worst_case(envelope_summary(ds, marginal_cdf_bounds(ds)))
         assert (interval.lower, interval.upper) == (-1.0, 3.0)
 
     def test_eight_record_hand_fixture(self):
@@ -335,7 +323,7 @@ class TestWorstCaseUnknownMargins:
         assert s.l1 == pytest.approx(0.0, abs=0.0)
         assert s.m2 == pytest.approx(13 / 16, abs=1e-12)
         assert s.m3 == pytest.approx(13 / 16, abs=1e-12)
-        interval = worst_case_unknown_margins(ds, env)
+        interval = worst_case(s)
         assert interval.upper == pytest.approx(2.0, abs=1e-12)
         assert interval.lower == pytest.approx(-1.0, abs=0.0)
 
@@ -344,7 +332,7 @@ class TestWorstCaseUnknownMargins:
                                      [0.2, 0.2]]),
                            CopulaSpec.gaussian(0.6), CovariateScale.UNIFORM01)
         ds = simulate_dataset(config, 30_000, seed=9)
-        unknown = worst_case_unknown_margins(ds, marginal_cdf_bounds(ds))
+        unknown = worst_case(envelope_summary(ds, marginal_cdf_bounds(ds)))
         from taubounds import MarginMode, summarize
         known = worst_case(summarize(ds, MarginMode.uniform01()))
         assert unknown.lower <= known.lower + 1e-12

@@ -79,6 +79,20 @@ class TestAnalyzeCommand:
         assert run_cli("analyze", "--input", str(bad)) == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_oversized_field_exit_2(self, tmp_path, capsys):
+        # longer than csv.field_size_limit(), in the data file and in a CDF table
+        huge = tmp_path / "huge.csv"
+        huge.write_text("x,y\n" + "1" * 200_000 + ",0.5\n", encoding="utf-8")
+        assert run_cli("analyze", "--input", str(huge)) == 2
+        assert capsys.readouterr().err.startswith("error: field larger than field limit")
+        table = tmp_path / "table.csv"
+        table.write_text("0,0\n" + "1" * 200_000 + ",1\n", encoding="utf-8")
+        data = tmp_path / "data.csv"
+        data.write_text("x,y\n0.1,0.2\n", encoding="utf-8")
+        assert run_cli("analyze", "--input", str(data), "--margins", "from-file",
+                       "--x-cdf", str(table), "--y-cdf", str(table)) == 2
+        assert capsys.readouterr().err.startswith("error: field larger than field limit")
+
     def test_theta_with_unknown_margins_exit_2(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("x,y\n0.1,0.2\n0.4,0.5\n", encoding="utf-8")

@@ -14,11 +14,7 @@ from taubounds import (
     constrained_lower,
     constrained_upper,
     extremal_expectation,
-    frechet_lower,
-    frechet_upper,
     sample_copula,
-    std_normal_cdf,
-    std_normal_quantile,
 )
 
 GRID = np.linspace(0.0, 1.0, 101)
@@ -26,29 +22,42 @@ UU, VV = np.meshgrid(GRID, GRID)
 THETAS = [0.0, 0.1, 0.25, 0.4, 0.5]
 
 
+def frechet_lower(u, v):
+    """Oracle: the lower envelope max(u + v - 1, 0) of every copula."""
+    return np.maximum(u + v - 1.0, 0.0)
+
+
+def frechet_upper(u, v):
+    """Oracle: the upper envelope min(u, v) of every copula."""
+    return np.minimum(u, v)
+
+
 class TestFrechetBounds:
+    """The constrained surfaces at theta = 0 (lower) and 1/2 (upper) are the
+    Frechet envelopes."""
+
     def test_lower_examples(self):
-        assert frechet_lower(0.5, 0.5) == 0.0
-        assert frechet_lower(0.8, 0.9) == pytest.approx(0.7, abs=1e-15)
+        assert constrained_lower(0.0, 0.5, 0.5) == 0.0
+        assert constrained_lower(0.0, 0.8, 0.9) == pytest.approx(0.7, abs=1e-15)
         for v in (0.0, 0.3, 0.77, 1.0):
-            assert frechet_lower(1.0, v) == pytest.approx(v, abs=1e-15)
+            assert constrained_lower(0.0, 1.0, v) == pytest.approx(v, abs=1e-15)
 
     def test_upper_examples(self):
-        assert frechet_upper(0.3, 0.8) == 0.3
-        assert frechet_upper(0.5, 0.5) == 0.5
+        assert constrained_upper(0.5, 0.3, 0.8) == 0.3
+        assert constrained_upper(0.5, 0.5, 0.5) == 0.5
         for u in (0.0, 0.1, 0.62, 1.0):
-            assert frechet_upper(u, 1.0) == u
+            assert constrained_upper(0.5, u, 1.0) == u
 
     def test_domain_errors(self):
         for bad in (-0.1, 1.1, math.nan):
             with pytest.raises(DomainError):
-                frechet_lower(bad, 0.5)
+                constrained_lower(0.0, bad, 0.5)
             with pytest.raises(DomainError):
-                frechet_upper(0.5, bad)
+                constrained_upper(0.5, 0.5, bad)
 
     def test_range_on_grid(self):
-        lo = frechet_lower(UU, VV)
-        hi = frechet_upper(UU, VV)
+        lo = constrained_lower(0.0, UU, VV)
+        hi = constrained_upper(0.5, UU, VV)
         assert np.all(lo >= 0.0) and np.all(hi <= 1.0)
         # the two envelope formulas share no subexpression, so allow an ulp
         assert np.all(lo <= hi + 1e-15)
@@ -95,30 +104,6 @@ class TestConstrainedBounds:
                 constrained_lower(bad, 0.5, 0.5)
             with pytest.raises(DomainError):
                 constrained_upper(bad, 0.5, 0.5)
-
-
-class TestNormalCdf:
-    def test_symmetry(self):
-        assert std_normal_cdf(0.0) == 0.5
-        assert std_normal_quantile(0.5) == 0.0
-
-    def test_against_high_precision_erf(self):
-        mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 40
-        for x in (-3.7, -1.0, 0.3, 1.96, 2.5, 5.0):
-            oracle = float(0.5 * (1 + mpmath.erf(mpmath.mpf(x) / mpmath.sqrt(2))))
-            assert std_normal_cdf(x) == pytest.approx(oracle, abs=1e-14)
-
-    def test_quantile_inverts_cdf(self):
-        qs = np.concatenate([np.array([1e-10, 1 - 1e-10]),
-                             np.linspace(1e-6, 1 - 1e-6, 41)])
-        err = np.abs(std_normal_cdf(std_normal_quantile(qs)) - qs)
-        assert err.max() <= 1e-12
-
-    def test_quantile_domain(self):
-        for bad in (0.0, 1.0, -0.2, 1.3):
-            with pytest.raises(DomainError):
-                std_normal_quantile(bad)
 
 
 class TestCopulaSpec:

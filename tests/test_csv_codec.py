@@ -57,7 +57,7 @@ def oracle_read_csv(path):
         raise EmptyDataError(f"{path}: empty input")
     x = np.asarray(xs)
     y = np.asarray(ys)
-    return Dataset(x, y, data._patterns(x, y))
+    return Dataset(x, y)
 
 
 def _oracle_format_cell(value):
@@ -213,12 +213,21 @@ def _written(write, dataset, path):
 ])
 def test_writer_matches_oracle_on_special_values(tmp_path, x, y):
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    ds = Dataset(x, y, data._patterns(x, y))
+    ds = Dataset(x, y)
     assert (_written(write_csv, ds, tmp_path / "new.csv")
             == _written(oracle_write_csv, ds, tmp_path / "old.csv"))
     if len(ds):
         back = read_csv(tmp_path / "new.csv")
         assert back.x.tobytes() == ds.x.tobytes() and back.y.tobytes() == ds.y.tobytes()
+
+
+def test_reader_derives_patterns_once(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("x,y\n0.5,\n,0.25\n0.5,0.75\n", encoding="utf-8")
+    with mock.patch.object(data, "_patterns", wraps=data._patterns) as patterns:
+        ds = read_csv(path)
+    assert patterns.call_count == 1
+    assert ds.z.tolist() == [2, 3, 1]
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -229,7 +238,7 @@ def test_writer_matches_oracle_at_chunk_boundary(tmp_path, offset):
     y = rng.random(n)
     x[rng.random(n) < 0.2] = np.nan
     y[rng.random(n) < 0.2] = np.nan
-    ds = Dataset(x, y, data._patterns(x, y))
+    ds = Dataset(x, y)
     assert (_written(write_csv, ds, tmp_path / "new.csv")
             == _written(oracle_write_csv, ds, tmp_path / "old.csv"))
     back = read_csv(tmp_path / "new.csv")

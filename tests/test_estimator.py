@@ -12,16 +12,17 @@ from taubounds import (
     Dataset,
     Decision,
     DistSummary,
+    DomainError,
     EmptyDataError,
     MarginMode,
     MarginTableError,
     MgpConfig,
-    ObservationRecord,
     SCENARIOS,
     ThetaSummary,
     UnsupportedAnalysisError,
     analyze,
-    classify_pattern,
+    envelope_summary,
+    marginal_cdf_bounds,
     population_bounds,
     sample_copula,
     simulate_dataset,
@@ -32,17 +33,34 @@ from taubounds import (
 UNIFORM = MarginMode.uniform01()
 
 
-class TestClassifyPattern:
-    def test_all_cases(self):
-        assert classify_pattern(1.2, 3.4) == 1
-        assert classify_pattern(1.2, None) == 2
-        assert classify_pattern(None, 3.4) == 3
-        assert classify_pattern(None, None) == 4
-        assert classify_pattern(math.nan, 3.4) == 3
+class TestDataset:
+    def test_patterns_from_missing_cells(self):
+        ds = Dataset.from_records([(1.2, 3.4), (1.2, None), (None, 3.4), (None, None),
+                                   (math.nan, 3.4), (0.5, math.nan)])
+        assert ds.z.tolist() == [1, 2, 3, 4, 3, 2]
 
-    def test_record_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            ObservationRecord(1.0, None, 1)
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    @pytest.mark.parametrize("column", ["x", "y"])
+    def test_infinite_value_rejected(self, column, value):
+        # a written infinite value would not read back
+        cells = [[0.25, 0.5], [0.5, math.nan]]
+        cells["xy".index(column)][0] = value
+        with pytest.raises(DomainError, match=f"non-finite {column}"):
+            Dataset(*cells)
+        with pytest.raises(DomainError, match=f"non-finite {column}"):
+            Dataset.from_records(zip(*cells))
+
+
+@pytest.mark.parametrize("records", [[], Dataset([], [])], ids=["list", "dataset"])
+@pytest.mark.parametrize("call", [
+    lambda records: analyze(records, UNIFORM),
+    lambda records: summarize(records, UNIFORM),
+    marginal_cdf_bounds,
+    lambda records: envelope_summary(records, marginal_cdf_bounds([(0.5, 0.5)])),
+], ids=["analyze", "summarize", "marginal_cdf_bounds", "envelope_summary"])
+def test_empty_input_rejected(call, records):
+    with pytest.raises(EmptyDataError, match="^no records supplied$"):
+        call(records)
 
 
 class TestSummarize:
@@ -81,14 +99,10 @@ class TestSummarize:
 
     def test_theta_requires_known_margins(self):
         ds = Dataset.from_records([(0.5, 0.5), (0.3, None)])
-        with pytest.raises(UnsupportedAnalysisError):
-            summarize(ds, MarginMode.unknown(), theta=0.4)
-        with pytest.raises(UnsupportedAnalysisError):
-            summarize(ds, MarginMode.unknown())
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyDataError):
-            summarize([], UNIFORM)
+        for theta in (0.4, None):
+            with pytest.raises(UnsupportedAnalysisError,
+                               match="transformed summaries require known margins"):
+                summarize(ds, MarginMode.unknown(), theta=theta)
 
     def test_ties_warn_but_proceed(self):
         from taubounds.errors import TiedDataWarning
@@ -125,7 +139,7 @@ class TestCdfTable:
         table = CdfTable(grid, ndtr(grid))
         ds_u = simulate_dataset(SCENARIOS["P3"].config(), 50_000, seed=5)
         ds_n = Dataset(ndtri(np.clip(ds_u.x, 1e-300, 1 - 1e-16)),
-                       ndtri(np.clip(ds_u.y, 1e-300, 1 - 1e-16)), ds_u.z)
+                       ndtri(np.clip(ds_u.y, 1e-300, 1 - 1e-16)))
         a = worst_case(summarize(ds_n, MarginMode.from_tables(table, table)))
         b = worst_case(summarize(ds_u, UNIFORM))
         assert a.lower == pytest.approx(b.lower, abs=1e-5)
@@ -234,12 +248,10 @@ class TestAnalyze:
         complete = np.flatnonzero(ds.z == 1)
         x = ds.x.copy()
         y = ds.y.copy()
-        z = ds.z.copy()
         drop = complete[: len(complete) // 2]
         x[drop] = np.nan
         y[drop] = np.nan
-        z[drop] = 4
-        widened = analyze(Dataset(x, y, z), UNIFORM)
+        widened = analyze(Dataset(x, y), UNIFORM)
         assert widened.worst_case_raw.lower <= base.worst_case_raw.lower + 1e-12
         assert widened.worst_case_raw.upper >= base.worst_case_raw.upper - 1e-12
 
