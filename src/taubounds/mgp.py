@@ -7,8 +7,13 @@ model for the missingness pattern,
 
 where the covariates (x, y) are either the copula pair itself
 (``uniform01``) or its normal scores (``normal_score``). Population bound
-values are Monte Carlo averages of the copula-surface integrands weighted
-by the propensities; no pattern needs to be drawn for them.
+values are expectations of the copula-surface integrands weighted by the
+propensities; no pattern needs to be drawn for them. Two engines compute
+them from one integrand routine: piecewise Gauss-Legendre quadrature
+(:func:`population_bounds_quadrature`, deterministic, used by the CLI) and
+Monte Carlo (:func:`population_bounds_sweep`, the reference the tests check
+the quadrature against). Kendall's tau and the median-quadrant probability
+of the latent copula are closed forms.
 
 All sampling is performed in fixed-size blocks with counter-based
 substreams keyed by (seed, block index), so results are bit-identical for
@@ -18,6 +23,8 @@ any worker count.
 from __future__ import annotations
 
 import enum
+import functools
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -26,10 +33,13 @@ import numpy as np
 from scipy import special
 
 from .bounds import Decision, IntervalKind, TauInterval
-from .concordance import kendall_tau
-from .copulas import CopulaSpec, check_theta, constrained_lower, constrained_upper, \
-    _rng_for, _sample_with
+# not called here since tau became a closed form; the benchmark's traced run
+# still rebinds mgp.kendall_tau
+from .concordance import kendall_tau  # noqa: F401
+from .copulas import CopulaKind, CopulaSpec, check_theta, constrained_lower, \
+    constrained_upper, _rng_for, _sample_with
 from .data import Dataset
+from .errors import DomainError
 
 __all__ = [
     "CovariateScale",
@@ -42,6 +52,7 @@ __all__ = [
     "simulate_dataset",
     "population_bounds",
     "population_bounds_sweep",
+    "population_bounds_quadrature",
     "true_tau",
     "median_joint_prob",
     "scenario_manifest",
@@ -242,12 +253,19 @@ def _simulate_latent(config: MgpConfig, n: int, seed: int) -> tuple[np.ndarray, 
 
 
 # ---------------------------------------------------------------------------
-# population bound values by Monte Carlo
+# population bound values
 
 
 @dataclass(frozen=True)
 class PopulationBounds:
-    """Monte Carlo estimates of the population bound values of a configuration."""
+    """Population bound values of a configuration, from one of two engines.
+
+    ``engine`` is ``"quadrature"`` or ``"monte_carlo"``. The ``se_*`` fields
+    of the intervals, ``p_z_se`` and ``theta_hat_se`` hold Monte Carlo
+    standard errors for the latter, and for the former the quadrature error
+    estimate of :func:`population_bounds_quadrature` (times 4 for the tau
+    endpoints). ``draws`` and ``seed`` are None for quadrature.
+    """
 
     worst_case: TauInterval
     refined: TauInterval | None
@@ -256,8 +274,84 @@ class PopulationBounds:
     theta: float | None
     theta_hat: float
     theta_hat_se: float
-    draws: int
-    seed: int
+    draws: int | None
+    seed: int | None
+    engine: str
+
+
+# Lowest threshold of the theta mismatch warning, so that a theta equal to
+# the quadrature's theta_hat up to rounding never fires it.
+_THETA_MATCH_FLOOR = 1e-12
+
+
+def _integrands(config: MgpConfig, thetas: list[float], uv: np.ndarray) -> np.ndarray:
+    """Integrands of the population bound values at the latent points ``uv``.
+
+    One column each: worst-case upper and lower, (refined upper, lower) per
+    theta, the four propensities and the median-quadrant indicator. Their
+    expectations under the copula are the bound values; both engines
+    average this table.
+    """
+    u, v = uv[:, 0], uv[:, 1]
+    x, y = _covariates(uv, config.covariate_scale)
+    pi = propensity(config, x, y)
+    p1 = pi[:, 0].copy()
+    tail = pi[:, 1] * u + pi[:, 2] * v + pi[:, 3]
+    # filled one integrand per row, which writes contiguously, and returned
+    # one point per row
+    cols = np.empty((2 + 2 * len(thetas) + 5, len(uv)))
+    cols[0] = np.minimum(u, v) * p1 + tail
+    cols[1] = np.maximum(u + v - 1.0, 0.0) * p1
+    for j, th in enumerate(thetas):
+        cols[2 + 2 * j] = constrained_upper(th, u, v) * p1 + tail
+        cols[3 + 2 * j] = constrained_lower(th, u, v) * p1
+    cols[-5:-1] = pi.T
+    cols[-1] = (u <= 0.5) & (v <= 0.5)
+    return np.ascontiguousarray(cols.T)
+
+
+def _assemble(thetas: list[float], mean: np.ndarray, err: np.ndarray, warn: bool,
+              engine: str, draws: int | None = None,
+              seed: int | None = None) -> list[PopulationBounds]:
+    """One result per theta (a single one without refined bounds when there
+    is no theta) from the expectations of the :func:`_integrands` columns and
+    their errors."""
+    def interval(i_upper: int, i_lower: int, kind: IntervalKind) -> TauInterval:
+        return TauInterval(4.0 * mean[i_lower] - 1.0, 4.0 * mean[i_upper] - 1.0,
+                           kind, se_lower=4.0 * err[i_lower], se_upper=4.0 * err[i_upper])
+
+    wc = interval(0, 1, IntervalKind.WORST_CASE)
+    theta_hat = float(mean[-1])
+    theta_hat_se = float(err[-1])
+    out = []
+    for j, th in enumerate(thetas):
+        if warn and abs(th - theta_hat) > 3.0 * max(theta_hat_se, _THETA_MATCH_FLOOR):
+            warnings.warn(
+                f"supplied theta={th} differs from the configuration's "
+                f"median-quadrant probability {theta_hat:.4f} "
+                f"(+/- {theta_hat_se:.1e}); the refined bounds condition on "
+                "side information this configuration does not satisfy",
+                ThetaMismatchWarning, stacklevel=3)
+        out.append(PopulationBounds(
+            worst_case=wc,
+            refined=interval(2 + 2 * j, 3 + 2 * j, IntervalKind.REFINED),
+            p_z=mean[-5:-1].copy(),
+            p_z_se=err[-5:-1].copy(),
+            theta=th,
+            theta_hat=theta_hat,
+            theta_hat_se=theta_hat_se,
+            draws=draws,
+            seed=seed,
+            engine=engine,
+        ))
+    if not thetas:
+        out.append(PopulationBounds(wc, None, mean[-5:-1].copy(), err[-5:-1].copy(),
+                                    None, theta_hat, theta_hat_se, draws, seed, engine))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# population bound values by Monte Carlo
 
 
 def population_bounds_sweep(
@@ -269,7 +363,7 @@ def population_bounds_sweep(
     covariate_scale: CovariateScale = CovariateScale.UNIFORM01,
     warn_on_theta_mismatch: bool = True,
 ) -> list[PopulationBounds]:
-    """Population bounds for several theta values from one set of draws.
+    """Monte Carlo population bounds for several theta values from one set of draws.
 
     Sharing draws makes the nesting of the refined intervals inside the
     worst-case interval, and their monotonicity in theta, hold exactly
@@ -280,25 +374,9 @@ def population_bounds_sweep(
     if draws < 10_000:
         raise ValueError(f"draws must be >= 10^4, got {draws}")
 
-    # statistic columns: wc upper, wc lower, (refined upper, lower) per theta,
-    # the four propensities, and the median-quadrant indicator
-    k = 2 + 2 * len(thetas) + 4 + 1
-
     def task(index: int, size: int):
-        rng = _rng_for(int(seed), index)
-        uv = _sample_with(rng, config.copula, size)
-        u, v = uv[:, 0], uv[:, 1]
-        x, y = _covariates(uv, config.covariate_scale)
-        pi = propensity(config, x, y)
-        tail = pi[:, 1] * u + pi[:, 2] * v + pi[:, 3]
-        cols = np.empty((size, k))
-        cols[:, 0] = np.minimum(u, v) * pi[:, 0] + tail
-        cols[:, 1] = np.maximum(u + v - 1.0, 0.0) * pi[:, 0]
-        for j, th in enumerate(thetas):
-            cols[:, 2 + 2 * j] = constrained_upper(th, u, v) * pi[:, 0] + tail
-            cols[:, 3 + 2 * j] = constrained_lower(th, u, v) * pi[:, 0]
-        cols[:, -5:-1] = pi
-        cols[:, -1] = (u <= 0.5) & (v <= 0.5)
+        uv = _sample_with(_rng_for(int(seed), index), config.copula, size)
+        cols = _integrands(config, thetas, uv)
         return cols.sum(axis=0), (cols * cols).sum(axis=0)
 
     parts = _run_blocks(task, int(draws), workers)
@@ -308,38 +386,8 @@ def population_bounds_sweep(
     mean = total / n
     variance = np.maximum(total_sq - n * mean**2, 0.0) / (n - 1.0)
     se = np.sqrt(variance / n)
-
-    def interval(i_upper: int, i_lower: int, kind: IntervalKind) -> TauInterval:
-        return TauInterval(4.0 * mean[i_lower] - 1.0, 4.0 * mean[i_upper] - 1.0,
-                           kind, se_lower=4.0 * se[i_lower], se_upper=4.0 * se[i_upper])
-
-    wc = interval(0, 1, IntervalKind.WORST_CASE)
-    theta_hat = float(mean[-1])
-    theta_hat_se = float(se[-1])
-    out = []
-    for j, th in enumerate(thetas):
-        if warn_on_theta_mismatch and abs(th - theta_hat) > 3.0 * max(theta_hat_se, 1e-300):
-            warnings.warn(
-                f"supplied theta={th} differs from the configuration's "
-                f"median-quadrant probability {theta_hat:.4f} "
-                f"(+/- {theta_hat_se:.1e}); the refined bounds condition on "
-                "side information this configuration does not satisfy",
-                ThetaMismatchWarning, stacklevel=2)
-        out.append(PopulationBounds(
-            worst_case=wc,
-            refined=interval(2 + 2 * j, 3 + 2 * j, IntervalKind.REFINED),
-            p_z=mean[-5:-1].copy(),
-            p_z_se=se[-5:-1].copy(),
-            theta=th,
-            theta_hat=theta_hat,
-            theta_hat_se=theta_hat_se,
-            draws=int(draws),
-            seed=int(seed),
-        ))
-    if not thetas:
-        out.append(PopulationBounds(wc, None, mean[-5:-1].copy(), se[-5:-1].copy(),
-                                    None, theta_hat, theta_hat_se, int(draws), int(seed)))
-    return out
+    return _assemble(thetas, mean, se, warn_on_theta_mismatch, "monte_carlo",
+                     int(draws), int(seed))
 
 
 def population_bounds(
@@ -351,7 +399,7 @@ def population_bounds(
     covariate_scale: CovariateScale = CovariateScale.UNIFORM01,
     warn_on_theta_mismatch: bool = True,
 ) -> PopulationBounds:
-    """Population worst-case and (when theta is given) refined bound values.
+    """Monte Carlo population worst-case and (when theta is given) refined bound values.
 
     Estimates carry Monte Carlo standard errors computed from the per-draw
     integrands, which captures the covariance between the terms of the
@@ -364,25 +412,237 @@ def population_bounds(
         warn_on_theta_mismatch=warn_on_theta_mismatch)[0]
 
 
-def true_tau(config_or_name, draws: int = 1_000_000, seed: int = 0) -> float:
-    """Concordance estimate of tau over complete latent pairs (before masking)."""
-    if draws < 10_000:
-        raise ValueError(f"draws must be >= 10^4, got {draws}")
-    config = _as_config(config_or_name)
-    parts = []
-    for index, size in enumerate(_block_sizes(int(draws))):
-        parts.append(_sample_with(_rng_for(int(seed), index), config.copula, size))
-    uv = np.concatenate(parts, axis=0)
-    return kendall_tau(uv[:, 0], uv[:, 1])
+# ---------------------------------------------------------------------------
+# population bound values by quadrature
+
+QUADRATURE_NODES = 24
+"""Gauss-Legendre nodes per panel in each coordinate. The error estimate
+compares the result with the rule of half as many nodes on the same panels."""
+
+_Z_LIMIT = 8.5
+"""Both standard-normal coordinates are integrated over [-8.5, 8.5]; the
+mass left outside is 4*Phi(-8.5) < 4e-17."""
+
+_PANEL_TOL = 1e-8
+"""A strip is refined while halving its nodes changes one of its integrals
+by more than this. The Gauss-Legendre error falls so fast with the node
+count that the full rule is then far closer (within 1e-13 of the 48-node
+rule on P1-P3)."""
+
+_MAX_ROUNDS = 12
+"""Refinement rounds before the remaining strips are accepted as they are;
+their error still shows in the estimate."""
+
+_MAX_SPLIT = 16
+"""Most pieces a w panel is cut into."""
 
 
-def median_joint_prob(config_or_name, draws: int = 1_000_000, seed: int = 0) -> float:
-    """Monte Carlo estimate of the median-quadrant probability C(1/2, 1/2)."""
-    if draws < 10_000:
-        raise ValueError(f"draws must be >= 10^4, got {draws}")
-    config = _as_config(config_or_name)
-    hits = 0
-    for index, size in enumerate(_block_sizes(int(draws))):
-        uv = _sample_with(_rng_for(int(seed), index), config.copula, size)
-        hits += int(np.sum((uv[:, 0] <= 0.5) & (uv[:, 1] <= 0.5)))
-    return hits / float(draws)
+def _latent_rho(copula: CopulaSpec) -> float:
+    """Correlation of the normal pair whose probability transform is the
+    copula: 0 for independence, +1 and -1 for the extremal kinds."""
+    if copula.kind is CopulaKind.GAUSSIAN:
+        return copula.rho
+    return {CopulaKind.INDEPENDENCE: 0.0, CopulaKind.COMONOTONE: 1.0,
+            CopulaKind.COUNTERMONOTONE: -1.0}[copula.kind]
+
+
+@functools.cache
+def _legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(nodes)
+
+
+def _panel_rule(edges: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre points and weights on the panels between consecutive
+    ``edges`` along the last axis; a zero-width panel gets zero weight."""
+    x, w = _legendre(nodes)
+    half = 0.5 * np.diff(edges, axis=-1)[..., None]
+    mid = edges[..., :-1, None] + half
+    shape = edges.shape[:-1] + (-1,)
+    return (mid + half * x).reshape(shape), (half * w).reshape(shape)
+
+
+def _outer_cuts(thetas: list[float]) -> np.ndarray:
+    """The u-values where the integrals over v kink."""
+    th = np.asarray(thetas, dtype=float)
+    return np.concatenate(([0.5], th, 1.0 - th, 0.5 - th, 0.5 + th))
+
+
+def _inner_cuts(u: np.ndarray, thetas: list[float]) -> np.ndarray:
+    """For each u, the v-values where an integrand kinks; one row per u.
+
+    They are where the Frechet and theta-constrained surfaces switch branch:
+    v = u, 1 - u and 1/2 for every surface; theta, 1 - theta, theta + u - 1/2
+    and u - theta + 1/2 for the upper one; 1 - theta - u, theta + 1/2,
+    1/2 - theta and 1 + theta - u for the lower one (the last where it
+    switches between theta and u + v - 1 with both coordinates above 1/2).
+    """
+    th = np.asarray(thetas, dtype=float)
+    uu = u[:, None]
+    fixed = np.concatenate(([0.5], th, 1.0 - th, th + 0.5, 0.5 - th))
+    moving = [uu, 1.0 - uu, th + uu - 0.5, uu - th + 0.5, 1.0 - th - uu, 1.0 + th - uu]
+    return np.concatenate([np.broadcast_to(fixed, (len(u), len(fixed)))] + moving, axis=1)
+
+
+def _w_panels(thetas: list[float]) -> int:
+    """Panels in w per z node before any cutting into pieces."""
+    return _inner_cuts(np.zeros(1), thetas).shape[1] + 1
+
+
+def _strip_sums(config: MgpConfig, thetas: list[float], a: np.ndarray, b: np.ndarray,
+                split: np.ndarray, outer: int, inner: int) -> np.ndarray:
+    """Integrals of the :func:`_integrands` columns over the strips a < z < b.
+
+    The coordinates are the sampler's: z and w independent standard normal,
+    u = Phi(z) and v = Phi(rho z + sqrt(1 - rho^2) w). Each strip gets
+    ``outer`` Gauss-Legendre nodes in z. For each of those, the w range is cut
+    where v crosses an inner cut, each panel into ``split`` equal pieces
+    (per strip), and each piece gets ``inner`` nodes. One row per strip.
+    """
+    rho = _latent_rho(config.copula)
+    s = math.sqrt(1.0 - rho * rho)
+    panels = _w_panels(thetas)
+    out = np.empty((len(a), 2 + 2 * len(thetas) + 5))
+    for m in np.unique(split):
+        strips = np.flatnonzero(split == m)
+        z, z_weight = _panel_rule(np.column_stack((a[strips], b[strips])), outer)
+        z = z.ravel()
+        z_weight = z_weight.ravel() * np.exp(-0.5 * z * z) / (2.0 * math.pi)
+        by_node = np.empty((len(z), out.shape[1]))
+        # about one sampling block of points at a time
+        step = max(1, BLOCK_SIZE // (panels * m * inner))
+        for lo in range(0, len(z), step):
+            zc = z[lo:lo + step]
+            u = special.ndtr(zc)
+            w_cuts = (special.ndtri(np.clip(_inner_cuts(u, thetas), 0.0, 1.0))
+                      - rho * zc[:, None]) / s
+            rim = np.full((len(zc), 1), _Z_LIMIT)
+            edges = np.concatenate(
+                (-rim, np.sort(np.clip(w_cuts, -_Z_LIMIT, _Z_LIMIT), axis=1), rim), axis=1)
+            if m > 1:
+                steps = np.diff(edges, axis=1)[..., None] * (np.arange(m) / m)
+                edges = np.concatenate(
+                    ((edges[:, :-1, None] + steps).reshape(len(zc), -1), rim), axis=1)
+            w, w_weight = _panel_rule(edges, inner)
+            # cuts outside (0, 1) or coinciding leave zero-width panels
+            node, piece = np.nonzero(w_weight > 0.0)
+            w = w[node, piece]
+            weight = z_weight[lo + node] * w_weight[node, piece] * np.exp(-0.5 * w * w)
+            v = special.ndtr(rho * zc[node] + s * w)
+            cols = _integrands(config, thetas, np.column_stack((u[node], v)))
+            # every node keeps points, as its panels span the whole w range
+            starts = np.flatnonzero(np.diff(node, prepend=-1))
+            by_node[lo:lo + len(zc)] = np.add.reduceat(cols * weight[:, None], starts, axis=0)
+        out[strips] = by_node.reshape(len(strips), outer, -1).sum(axis=1)
+    return out
+
+
+def _exceeds(difference: np.ndarray) -> np.ndarray:
+    """Strips where some integral changed by more than ``_PANEL_TOL``."""
+    return np.abs(difference).max(axis=1) > _PANEL_TOL
+
+
+def _quadrature(config: MgpConfig, thetas: list[float]):
+    """Expectations of the :func:`_integrands` columns, their error estimate
+    and the strips used: ``(mean, err, (a, b, split))``.
+
+    The z range is first cut where u crosses an outer cut. A strip whose
+    integrals change by more than ``_PANEL_TOL`` when the nodes in both
+    coordinates are halved is refined: its w panels are cut into twice as
+    many pieces (up to ``_MAX_SPLIT``) if halving the nodes in w alone
+    changes them that much, and it is bisected if halving those in z does,
+    or if neither alone does. The estimate is |Q24 - Q12| over the final
+    strips plus a bound on the rounding error of the sum (n*eps times the
+    value, as every term is nonnegative). Every column shares the strips,
+    points and summation order, so inequalities that hold between the
+    integrands point by point hold between the results exactly.
+    """
+    rho = _latent_rho(config.copula)
+    if abs(rho) == 1.0:
+        raise DomainError("quadrature needs a Gaussian or independence copula; use "
+                          "population_bounds for the comonotone and countermonotone kinds")
+    cuts = _outer_cuts(thetas)
+    cuts = special.ndtri(cuts[(cuts > 0.0) & (cuts < 1.0)])
+    edges = np.unique(np.clip(np.concatenate(([-_Z_LIMIT, _Z_LIMIT], cuts)),
+                              -_Z_LIMIT, _Z_LIMIT))
+    a, b = edges[:-1], edges[1:]
+    split = np.ones(len(a), dtype=int)
+    n, h = QUADRATURE_NODES, QUADRATURE_NODES // 2
+    done = []
+    for rounds_left in range(_MAX_ROUNDS - 1, -1, -1):
+        full = _strip_sums(config, thetas, a, b, split, n, n)
+        diff = full - _strip_sums(config, thetas, a, b, split, h, h)
+        todo = np.flatnonzero(_exceeds(diff) & (rounds_left > 0))
+        if len(todo):
+            ta, tb, ts, tf = a[todo], b[todo], split[todo], full[todo]
+            in_z = _exceeds(tf - _strip_sums(config, thetas, ta, tb, ts, h, n))
+            in_w = _exceeds(tf - _strip_sums(config, thetas, ta, tb, ts, n, h))
+            more_w = in_w & (ts < _MAX_SPLIT)
+            bisect = in_z | ~in_w
+            # a strip that needs more w pieces than allowed stays as it is
+            refined = bisect | more_w
+            todo, bisect = todo[refined], bisect[refined]
+            ts = np.where(more_w, 2 * ts, ts)[refined]
+        finished = np.ones(len(a), dtype=bool)
+        finished[todo] = False
+        done.append((a[finished], b[finished], split[finished], full[finished],
+                     diff[finished]))
+        if not len(todo):
+            break
+        ta, tb = a[todo], b[todo]
+        mid = 0.5 * (ta + tb)
+        a = np.concatenate((ta[~bisect], ta[bisect], mid[bisect]))
+        b = np.concatenate((tb[~bisect], mid[bisect], tb[bisect]))
+        split = np.concatenate((ts[~bisect], ts[bisect], ts[bisect]))
+    a, b, split, full, diff = (np.concatenate(parts) for parts in zip(*done))
+    order = np.argsort(a)
+    mean = full[order].sum(axis=0)
+    terms = n * n * _w_panels(thetas) * split.sum()
+    err = np.abs(diff[order].sum(axis=0)) + terms * np.finfo(float).eps * mean
+    return mean, err, (a[order], b[order], split[order])
+
+
+def population_bounds_quadrature(
+    config_or_name,
+    thetas=(),
+    covariate_scale: CovariateScale = CovariateScale.UNIFORM01,
+    warn_on_theta_mismatch: bool = True,
+) -> list[PopulationBounds]:
+    """Population bounds for several theta values by deterministic quadrature.
+
+    Returns one result per theta, or a single result without refined
+    bounds when ``thetas`` is empty. Every theta uses the same nodes, so the
+    refined intervals are nested in the worst case and monotone in theta
+    exactly. The ``se_*`` fields hold the error estimate of the adaptive
+    piecewise Gauss-Legendre rule (see :func:`_quadrature`). Covers the
+    Gaussian and independence copulas; raises ``DomainError`` for the
+    comonotone and countermonotone kinds.
+    """
+    config = _as_config(config_or_name, covariate_scale)
+    thetas = [check_theta(t) for t in thetas]
+    mean, err, _ = _quadrature(config, thetas)
+    return _assemble(thetas, mean, err, warn_on_theta_mismatch, "quadrature")
+
+
+# ---------------------------------------------------------------------------
+# closed forms of the latent copula
+
+
+def true_tau(config_or_name, draws=None, seed=None) -> float:
+    """Kendall's tau of the latent pair (before masking), in closed form.
+
+    tau = (2/pi) asin(rho) for the Gaussian copula (Kruskal 1958); the
+    independence, comonotone and countermonotone kinds are its rho = 0, 1
+    and -1 cases. ``draws`` and ``seed`` are accepted and ignored.
+    """
+    return 2.0 * math.asin(_latent_rho(_as_config(config_or_name).copula)) / math.pi
+
+
+def median_joint_prob(config_or_name, draws=None, seed=None) -> float:
+    """The median-quadrant probability C(1/2, 1/2) of the latent copula.
+
+    C(1/2, 1/2) = 1/4 + asin(rho) / (2 pi) for the Gaussian copula (Sheppard
+    1899), and so 1/4, 1/2 and 0 for the independence, comonotone and
+    countermonotone kinds. ``draws`` and ``seed`` are accepted and ignored.
+    """
+    rho = _latent_rho(_as_config(config_or_name).copula)
+    return 0.25 + math.asin(rho) / (2.0 * math.pi)

@@ -1,7 +1,7 @@
 """Acceptance criteria, one test per criterion, each printing a PASS/FAIL line.
 
-Criterion 1 checks the bundled scenarios' published target values at desk
-scale (1e7 draws). The remaining criteria are property-based: the zero
+Criterion 1 checks the bundled scenarios' published target values, computed
+by the quadrature engine. The remaining criteria are property-based: the zero
 bracketing of the worst-case interval, the quadrature constants, exact
 nesting and monotonicity of the refined intervals, degenerate datasets,
 plug-in consistency, and bit-level determinism.
@@ -12,21 +12,19 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from taubounds import (
     CopulaSpec,
     CovariateScale,
     Dataset,
     MarginMode,
-    MgpConfig,
     SCENARIOS,
     analyze,
     clip,
     decide,
     extremal_expectation,
     population_bounds,
-    population_bounds_sweep,
+    population_bounds_quadrature,
     refined,
     sample_copula,
     simulate_dataset,
@@ -35,36 +33,14 @@ from taubounds import (
 )
 from taubounds.cli import main as cli_main
 
-RNG_SEED = 20240802
-SWEEP_COUNT = 200
-SWEEP_DRAWS = 100_000
-SWEEP_THETAS = (0.1, 0.25, 0.4)
-
 
 def _report(criterion: int, passed: bool, detail: str) -> None:
     status = "PASS" if passed else "FAIL"
     print(f"[criterion {criterion}] {status} - {detail}")
 
 
-@pytest.fixture(scope="module")
-def dgp_sweep():
-    """200 random configurations with worst-case and refined bounds."""
-    rng = np.random.default_rng(RNG_SEED)
-    started = time.perf_counter()
-    results = []
-    for index in range(SWEEP_COUNT):
-        config = MgpConfig(rng.uniform(-5.0, 5.0, size=(4, 2)),
-                           CopulaSpec.gaussian(rng.uniform(-0.999, 0.999)),
-                           CovariateScale.UNIFORM01)
-        sweep = population_bounds_sweep(config, SWEEP_THETAS, draws=SWEEP_DRAWS,
-                                        seed=index, warn_on_theta_mismatch=False)
-        results.append(sweep)
-    elapsed = time.perf_counter() - started
-    return results, elapsed
-
-
 def test_criterion_1_published_scenario_values():
-    """Scenario values at 1e7 draws match the published targets under at
+    """Scenario values, by quadrature, match the published targets under at
     least one covariate-scale convention."""
     windows = {
         "P1": {"refined_upper": (-0.0308, 0.0092)},
@@ -84,9 +60,8 @@ def test_criterion_1_published_scenario_values():
         all_ok = True
         for name in ("P1", "P2", "P3"):
             scenario = SCENARIOS[name]
-            pb = population_bounds(scenario.config(scale), theta=scenario.theta,
-                                   draws=10_000_000, seed=0, workers=1,
-                                   warn_on_theta_mismatch=False)
+            pb = population_bounds_quadrature(scenario.config(scale), [scenario.theta],
+                                              warn_on_theta_mismatch=False)[0]
             measured = {"refined_lower": pb.refined.lower,
                         "refined_upper": pb.refined.upper}
             in_windows = all(lo <= measured[key] <= hi
@@ -115,7 +90,7 @@ def test_criterion_1_published_scenario_values():
 
 def test_criterion_2_worst_case_brackets_zero(dgp_sweep):
     """Worst-case interval brackets zero (3 MC SEs) for 200/200 random DGPs."""
-    results, elapsed = dgp_sweep
+    results, elapsed = dgp_sweep.results, dgp_sweep.elapsed
     violations = 0
     for sweep in results:
         wc = sweep[0].worst_case
@@ -123,7 +98,7 @@ def test_criterion_2_worst_case_brackets_zero(dgp_sweep):
             violations += 1
     passed = violations == 0 and elapsed <= 120.0
     _report(2, passed,
-            f"{SWEEP_COUNT - violations}/{SWEEP_COUNT} bracket zero; "
+            f"{len(results) - violations}/{len(results)} bracket zero; "
             f"sweep took {elapsed:.0f}s")
     assert violations == 0
     assert elapsed <= 120.0
@@ -154,7 +129,7 @@ def test_criterion_3_extremal_constants():
 def test_criterion_4_nesting_and_monotonicity(dgp_sweep):
     """Refined intervals are nested in the worst case exactly and monotone in
     theta, across the whole sweep; zero violations tolerated."""
-    results, _ = dgp_sweep
+    results = dgp_sweep.results
     nesting_violations = 0
     monotonicity_violations = 0
     for sweep in results:
@@ -168,7 +143,7 @@ def test_criterion_4_nesting_and_monotonicity(dgp_sweep):
                 monotonicity_violations += 1
     passed = nesting_violations == 0 and monotonicity_violations == 0
     _report(4, passed,
-            f"{SWEEP_COUNT} DGPs x thetas {SWEEP_THETAS}: "
+            f"{len(results)} DGPs x thetas {dgp_sweep.thetas}: "
             f"{nesting_violations} nesting and {monotonicity_violations} "
             f"monotonicity violations")
     assert nesting_violations == 0

@@ -158,10 +158,18 @@ class TestSimulateCommand:
         bounds_out = tmp_path / "pb.json"
         assert run_cli("simulate", "--scenario", "P3", "--n", "100", "--seed", "0",
                        "--output", str(out), "--bounds-output", str(bounds_out),
-                       "--theta", "0.4", "--draws", "50000") == 0
+                       "--theta", "0.4") == 0
         payload = json.loads(bounds_out.read_text())
+        assert payload["engine"] == "quadrature"
+        assert "draws" not in payload and "seed" not in payload
         assert payload["refined"]["lower"] <= payload["refined"]["upper"]
         assert payload["worst_case"]["lower"] <= 0.0 <= payload["worst_case"]["upper"]
+
+    def test_draws_flag_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--scenario", "P3", "--n", "10", "--draws", "50000",
+                  "--output", str(tmp_path / "d.csv")])
+        assert err.value.code == 2
 
     def test_invalid_gamma_exit_2(self, tmp_path, capsys):
         assert run_cli("simulate", "--rho", "0.5", "--gamma", "1,2,3",
@@ -212,8 +220,22 @@ class TestReproduceCommand:
         assert payload["P1"]["gamma"] == [[2.0, 2.0], [-5.0, 0.25],
                                           [5.0, -0.25], [-5.0, -5.0]]
 
-    def test_draw_floor_exit_2(self):
-        assert run_cli("reproduce", "--draws", "100") == 2
+    def test_sampling_flags_change_nothing(self, tmp_path, capsys):
+        outputs = []
+        for extra in ([], ["--draws", "100"], ["--draws", "2000000", "--seed", "9",
+                                               "--workers", "2"], ["--seed", "-3"]):
+            path = tmp_path / f"r{len(outputs)}.json"
+            assert run_cli("reproduce", *extra, "--output", str(path)) == 0
+            outputs.append(path.read_bytes())
+        assert len(set(outputs)) == 1
+        payload = json.loads(outputs[0])
+        assert payload["engine"] == "quadrature"
+        assert "draws" not in payload and "seed" not in payload
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(["reproduce", "--help"])
+        usage = capsys.readouterr().out
+        assert not any(flag in usage for flag in ("--draws", "--seed", "--workers"))
 
 
 class TestCsvRoundTrip:

@@ -20,7 +20,9 @@ from taubounds import (
     simulate_dataset,
     true_tau,
 )
-from taubounds.mgp import BLOCK_SIZE, _simulate_latent
+from taubounds.concordance import kendall_tau
+from taubounds.copulas import _rng_for, _sample_with
+from taubounds.mgp import BLOCK_SIZE, _block_sizes, _simulate_latent
 
 
 def config_of(gamma, copula=None, scale=CovariateScale.UNIFORM01):
@@ -167,8 +169,6 @@ class TestBayesConsistency:
         n = 400_000
         u, v, z = _simulate_latent(config, n, seed=21)
 
-        from taubounds.copulas import _rng_for, _sample_with
-
         ref = _sample_with(_rng_for(97, 0), config.copula, 2_000_000)
         pi_ref = propensity(config, ref[:, 0], ref[:, 1])
         edges = np.linspace(0.0, 1.0, 21)
@@ -266,45 +266,87 @@ class TestPopulationBounds:
         assert normal.worst_case != by_name.worst_case
 
 
+def mc_true_tau(config, draws, seed):
+    """Oracle: the sample tau of ``draws`` latent pairs of the sampling stream."""
+    uv = np.concatenate([_sample_with(_rng_for(seed, index), config.copula, size)
+                         for index, size in enumerate(_block_sizes(draws))])
+    return kendall_tau(uv[:, 0], uv[:, 1])
+
+
+def tau_se(n):
+    """Standard deviation of the sample tau of n independent pairs. It bounds
+    that of Gaussian pairs, whose asymptotic variance is
+    (4/9 - (16/pi^2) asin(rho/2)^2) / n."""
+    return math.sqrt(2.0 * (2 * n + 5) / (9.0 * n * (n - 1)))
+
+
+def mc_median_joint_prob(config, draws, seed):
+    """Oracle: the share of ``draws`` latent pairs in the lower median quadrant."""
+    hits = 0
+    for index, size in enumerate(_block_sizes(draws)):
+        uv = _sample_with(_rng_for(seed, index), config.copula, size)
+        hits += int(np.sum((uv[:, 0] <= 0.5) & (uv[:, 1] <= 0.5)))
+    return hits / draws
+
+
+def quadrant_se(p, n):
+    return math.sqrt(p * (1.0 - p) / n)
+
+
 class TestTrueTau:
+    """The closed form (2/pi) asin(rho) against the sample tau of the stream."""
+
     def test_independence_near_zero(self):
-        tau = true_tau(config_of(ZERO_GAMMA), draws=1_000_000, seed=0)
-        assert abs(tau) < 0.01
+        config = config_of(ZERO_GAMMA)
+        assert true_tau(config) == 0.0
+        assert abs(mc_true_tau(config, 1_000_000, seed=0)) < 3 * tau_se(1_000_000)
 
     def test_comonotone_exact_one(self):
         config = config_of(ZERO_GAMMA, CopulaSpec.comonotone())
-        assert true_tau(config, draws=20_000, seed=1) == 1.0
+        assert true_tau(config) == 1.0 == mc_true_tau(config, 20_000, seed=1)
+        config = config_of(ZERO_GAMMA, CopulaSpec.countermonotone())
+        assert true_tau(config) == -1.0 == mc_true_tau(config, 20_000, seed=1)
 
     def test_strong_positive(self):
-        config = config_of(ZERO_GAMMA, CopulaSpec.gaussian(0.99))
-        tau = true_tau(config, draws=1_000_000, seed=2)
-        assert tau > 0.8
+        for rho, seed in ((0.99, 2), (0.5, 3), (-0.3, 4)):
+            config = config_of(ZERO_GAMMA, CopulaSpec.gaussian(rho))
+            tau = true_tau(config)
+            assert tau == pytest.approx(2.0 / math.pi * math.asin(rho), abs=1e-15)
+            assert abs(tau - mc_true_tau(config, 300_000, seed)) < 3 * tau_se(300_000)
+        assert true_tau(config_of(ZERO_GAMMA, CopulaSpec.gaussian(0.99))) > 0.8
 
     def test_scenario_signs(self):
-        assert true_tau("P1", draws=200_000, seed=3) < 0
-        assert true_tau("P2", draws=200_000, seed=3) > 0
-
-    def test_draw_floor(self):
-        with pytest.raises(ValueError):
-            true_tau("P1", draws=100)
+        assert true_tau("P1") < 0 < true_tau("P2")
+        assert true_tau("P3") == 0.0
+        # the sampling arguments are accepted and ignored
+        assert true_tau("P1", draws=100, seed=3) == true_tau("P1")
+        assert abs(true_tau("P1") - mc_true_tau(SCENARIOS["P1"].config(), 200_000, 3)) \
+            < 3 * tau_se(200_000)
 
 
 class TestMedianJointProb:
+    """Sheppard's 1/4 + asin(rho)/(2 pi) against the sampled quadrant share."""
+
     def test_comonotone(self):
         config = config_of(ZERO_GAMMA, CopulaSpec.comonotone())
-        estimate = median_joint_prob(config, draws=100_000, seed=5)
-        assert abs(estimate - 0.5) < 3 * math.sqrt(0.25 / 100_000)
+        assert median_joint_prob(config) == 0.5
+        estimate = mc_median_joint_prob(config, 100_000, seed=5)
+        assert abs(estimate - 0.5) < 3 * quadrant_se(0.5, 100_000)
 
     def test_countermonotone_exact_zero(self):
         config = config_of(ZERO_GAMMA, CopulaSpec.countermonotone())
-        assert median_joint_prob(config, draws=50_000, seed=5) == 0.0
+        assert median_joint_prob(config) == 0.0 == mc_median_joint_prob(config, 50_000, 5)
 
     def test_independence(self):
-        estimate = median_joint_prob(config_of(ZERO_GAMMA), draws=100_000, seed=5)
-        assert abs(estimate - 0.25) < 3 * math.sqrt(0.25 * 0.75 / 100_000)
+        config = config_of(ZERO_GAMMA)
+        assert median_joint_prob(config) == 0.25
+        estimate = mc_median_joint_prob(config, 100_000, seed=5)
+        assert abs(estimate - 0.25) < 3 * quadrant_se(0.25, 100_000)
 
     def test_never_above_half(self):
-        for rho in (-0.9, 0.0, 0.95):
+        for rho in (-0.999, -0.9, 0.0, 0.95, 0.999):
             config = config_of(ZERO_GAMMA, CopulaSpec.gaussian(rho))
-            estimate = median_joint_prob(config, draws=50_000, seed=6)
-            assert estimate <= 0.5 + 3 * math.sqrt(0.25 / 50_000)
+            exact = median_joint_prob(config, draws=100, seed=1)
+            assert 0.0 < exact < 0.5
+            estimate = mc_median_joint_prob(config, 200_000, seed=6)
+            assert abs(estimate - exact) < 3 * quadrant_se(exact, 200_000)

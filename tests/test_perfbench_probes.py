@@ -1,15 +1,35 @@
-"""The benchmark's per-layer probes still find every name they rebind.
+"""The benchmark's own checks pass on the package as it stands.
 
 ``perfbench/workloads.py::install_probes`` times the package's layers by
 rebinding names that its modules imported. A renamed or deleted name would
-otherwise surface only in a traced benchmark run.
+otherwise surface only in a traced benchmark run. Likewise its
+``population`` checks compare ``reproduce`` and ``true_tau`` with
+``perfbench/reference.json``; an engine change that fails them fails here
+first.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+import pytest
+
+from taubounds import true_tau
+from taubounds.cli import main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 class CheckingTracer:
@@ -24,13 +44,22 @@ class CheckingTracer:
         self.targets.append(f"{module.__name__}.{attr}")
 
 
-def test_every_probe_target_resolves(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up in sys.modules
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+def test_every_probe_target_resolves(workloads):
     tracer = CheckingTracer()
     workloads.install_probes(tracer)
     assert "taubounds.estimator.summarize" in tracer.targets
     assert "taubounds.cli.read_csv" in tracer.targets
+
+
+def test_population_checks_pass(workloads, tmp_path):
+    # the arguments the benchmark's population workload passes
+    out = tmp_path / "reproduce.json"
+    assert main(["reproduce", "--draws", "2000000", "--workers", "2", "--seed", "1",
+                 "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    assert workloads.reproduce_problems(payload, reference) == []
+    draws = workloads.FULL.tau_draws
+    for name in workloads.SCENARIO_NAMES:
+        tau = true_tau(name, draws=draws, seed=1)
+        assert workloads.tau_problems(name, tau, draws, payload, reference) == []
