@@ -436,6 +436,13 @@ their error still shows in the estimate."""
 _MAX_SPLIT = 16
 """Most pieces a w panel is cut into."""
 
+_RIDGE = 0.02
+"""Width s = sqrt(1 - rho^2) below which the z range is also cut at s, 4s,
+16s, ... (up to 1) on both sides of every point where a kink line crosses
+the ridge v = u (rho > 0) or v = 1 - u (rho < 0). The copula's mass lies
+within about s of that ridge, so the z integrand turns within about s of
+such a point, too narrowly for the nodes of a wide strip to notice."""
+
 
 def _latent_rho(copula: CopulaSpec) -> float:
     """Correlation of the normal pair whose probability transform is the
@@ -465,6 +472,24 @@ def _outer_cuts(thetas: list[float]) -> np.ndarray:
     """The u-values where the integrals over v kink."""
     th = np.asarray(thetas, dtype=float)
     return np.concatenate(([0.5], th, 1.0 - th, 0.5 - th, 0.5 + th))
+
+
+def _z_edges(thetas: list[float], rho: float) -> np.ndarray:
+    """The initial strip edges in z: the outer cuts, graded towards the
+    ridge crossings when the ridge is narrow (see ``_RIDGE``)."""
+    u = _outer_cuts(thetas)
+    s = math.sqrt(1.0 - rho * rho)
+    if s < _RIDGE:
+        # the kink lines of the inner cuts cross the ridge at the outer cuts
+        # and, for the lines parallel to the other diagonal, here
+        th = np.asarray(thetas, dtype=float)
+        extra = [0.75 - th / 2, 0.25 + th / 2] if rho < 0 else [0.5 - th / 2, 0.5 + th / 2]
+        u = np.concatenate([u] + extra)
+    z = special.ndtri(u[(u > 0.0) & (u < 1.0)])
+    if s < _RIDGE:
+        steps = s * 4.0 ** np.arange(math.ceil(math.log(1.0 / s, 4.0)))
+        z = np.concatenate((z, (z[:, None] + steps).ravel(), (z[:, None] - steps).ravel()))
+    return np.unique(np.clip(np.concatenate(([-_Z_LIMIT, _Z_LIMIT], z)), -_Z_LIMIT, _Z_LIMIT))
 
 
 def _inner_cuts(u: np.ndarray, thetas: list[float]) -> np.ndarray:
@@ -545,7 +570,7 @@ def _quadrature(config: MgpConfig, thetas: list[float]):
     """Expectations of the :func:`_integrands` columns, their error estimate
     and the strips used: ``(mean, err, (a, b, split))``.
 
-    The z range is first cut where u crosses an outer cut. A strip whose
+    The z range is first cut at :func:`_z_edges`. A strip whose
     integrals change by more than ``_PANEL_TOL`` when the nodes in both
     coordinates are halved is refined: its w panels are cut into twice as
     many pieces (up to ``_MAX_SPLIT``) if halving the nodes in w alone
@@ -560,10 +585,7 @@ def _quadrature(config: MgpConfig, thetas: list[float]):
     if abs(rho) == 1.0:
         raise DomainError("quadrature needs a Gaussian or independence copula; use "
                           "population_bounds for the comonotone and countermonotone kinds")
-    cuts = _outer_cuts(thetas)
-    cuts = special.ndtri(cuts[(cuts > 0.0) & (cuts < 1.0)])
-    edges = np.unique(np.clip(np.concatenate(([-_Z_LIMIT, _Z_LIMIT], cuts)),
-                              -_Z_LIMIT, _Z_LIMIT))
+    edges = _z_edges(thetas, rho)
     a, b = edges[:-1], edges[1:]
     split = np.ones(len(a), dtype=int)
     n, h = QUADRATURE_NODES, QUADRATURE_NODES // 2

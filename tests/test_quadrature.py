@@ -18,7 +18,7 @@ from taubounds import (
     population_bounds_quadrature,
     population_bounds_sweep,
 )
-from taubounds.mgp import _assemble, _quadrature, _strip_sums
+from taubounds.mgp import _assemble, _quadrature, _strip_sums, _z_edges
 
 SCENARIO_CONFIGS = [SCENARIOS[name].config(scale)
                     for name in ("P1", "P2", "P3") for scale in CovariateScale]
@@ -94,6 +94,23 @@ def test_doubling_the_nodes_changes_nothing(config, thetas):
     difference = np.abs(mean - _doubled(config, thetas, strips))
     assert difference.max() <= 1e-10
     assert np.all(err >= difference)
+
+
+@pytest.mark.parametrize("rho", [-(1.0 - 1e-6), 1.0 - 1e-6, 1.0 - 1e-12])
+def test_narrow_ridge(rho):
+    """Near rho = +-1 the mass lies within sqrt(1 - rho^2) of a diagonal."""
+    config = MgpConfig(np.array(SCENARIOS["P2"].gamma), CopulaSpec.gaussian(rho))
+    for thetas in ([], [0.1]):
+        mean, err, _ = _quadrature(config, thetas)
+        assert abs(mean[-5:-1].sum() - 1.0) <= 1e-12
+        assert abs(mean[-1] - median_joint_prob(config)) <= 1e-12
+        if rho > -0.9999999 and rho < 0.9999999:
+            # the same rule on strips at most 0.00425 wide, about 3 ridge
+            # widths, cut at the outer cuts but not graded towards the ridge
+            edges = np.union1d(np.linspace(-8.5, 8.5, 4001), _z_edges(thetas, 0.0))
+            fine = _strip_sums(config, thetas, edges[:-1], edges[1:],
+                               np.ones(len(edges) - 1, dtype=int), 24, 24).sum(axis=0)
+            assert np.all(np.abs(mean - fine) <= 1e-12)
 
 
 def test_error_estimate_covers_doubling_difference(dgp_sweep, engine_sweep):
