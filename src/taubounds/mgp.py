@@ -479,17 +479,17 @@ def _z_edges(thetas: list[float], rho: float) -> np.ndarray:
     ridge crossings when the ridge is narrow (see ``_RIDGE``)."""
     u = _outer_cuts(thetas)
     s = math.sqrt(1.0 - rho * rho)
+    steps = np.zeros(1)
     if s < _RIDGE:
         # the kink lines of the inner cuts cross the ridge at the outer cuts
         # and, for the lines parallel to the other diagonal, here
         th = np.asarray(thetas, dtype=float)
         extra = [0.75 - th / 2, 0.25 + th / 2] if rho < 0 else [0.5 - th / 2, 0.5 + th / 2]
         u = np.concatenate([u] + extra)
-    z = special.ndtri(u[(u > 0.0) & (u < 1.0)])
-    if s < _RIDGE:
-        steps = s * 4.0 ** np.arange(math.ceil(math.log(1.0 / s, 4.0)))
-        z = np.concatenate((z, (z[:, None] + steps).ravel(), (z[:, None] - steps).ravel()))
-    return np.unique(np.clip(np.concatenate(([-_Z_LIMIT, _Z_LIMIT], z)), -_Z_LIMIT, _Z_LIMIT))
+        steps = np.append(0.0, s * 4.0 ** np.arange(math.ceil(math.log(1.0 / s, 4.0))))
+    z = special.ndtri(u[(u > 0.0) & (u < 1.0)])[:, None]
+    z = np.concatenate(([-_Z_LIMIT, _Z_LIMIT], (z + steps).ravel(), (z - steps).ravel()))
+    return np.unique(np.clip(z, -_Z_LIMIT, _Z_LIMIT))
 
 
 def _inner_cuts(u: np.ndarray, thetas: list[float]) -> np.ndarray:
