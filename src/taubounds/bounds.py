@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import enum
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .copulas import check_theta
+from .copulas import _lower_surface, _upper_surface, check_theta
 from .data import Dataset, as_dataset
-from .errors import IncoherentIntervalError, InvalidSummaryError
+from .errors import IncoherentIntervalError, InvalidSummaryError, TiedDataWarning
 
 __all__ = [
     "Decision",
@@ -105,10 +106,9 @@ def _check_moment(name: str, value, p: float):
 class DistSummary:
     """Pattern probabilities and the conditional moments entering the bounds.
 
-    ``se`` holds sampling standard errors for (m1, l1, m2, m3) when the
-    summary is estimated; ``n`` is the sample size behind the pattern
-    frequencies (enables the multinomial part of error propagation).
-    Moments of empty patterns are ``None``, never imputed.
+    ``se`` holds the standard errors (lower, upper) of the worst-case
+    endpoints when the summary is estimated. Moments of empty patterns are
+    ``None``, never imputed.
     """
 
     p_z: tuple[float, float, float, float]
@@ -116,8 +116,7 @@ class DistSummary:
     l1: float | None
     m2: float | None
     m3: float | None
-    se: tuple[float, float, float, float] | None = None
-    n: int | None = None
+    se: tuple[float, float] | None = None
 
     def __post_init__(self):
         p = np.asarray(self.p_z, dtype=float)
@@ -136,8 +135,8 @@ class DistSummary:
             raise InvalidSummaryError(
                 f"l1={self.l1} exceeds m1={self.m1}; the lower integrand is "
                 "dominated by the upper one pointwise")
-        if self.se is not None and len(self.se) != 4:
-            raise InvalidSummaryError("se must have exactly 4 entries (m1, l1, m2, m3)")
+        if self.se is not None and len(self.se) != 2:
+            raise InvalidSummaryError("se must have exactly 2 entries (lower, upper)")
 
 
 @dataclass(frozen=True)
@@ -145,8 +144,8 @@ class ThetaSummary:
     """A :class:`DistSummary` augmented with constrained pattern-1 moments.
 
     ``m1_theta`` / ``l1_theta`` are the pattern-1 means of the upper and
-    lower constrained surfaces at level ``theta``; ``se`` holds their
-    standard errors when estimated.
+    lower constrained surfaces at level ``theta``; ``se`` holds the standard
+    errors (lower, upper) of the refined endpoints when estimated.
 
     Construction enforces l1 <= l1_theta <= m1_theta <= m1 up to
     ``_MOMENT_TOL``. The affine bound map and its rounding are monotone in
@@ -179,60 +178,24 @@ class ThetaSummary:
                     "above the unconstrained one")
 
 
-def _multinomial_se(p: np.ndarray, n: int | None) -> np.ndarray:
-    if n is None or n <= 0:
-        return np.zeros(4)
-    return np.sqrt(p * (1.0 - p) / n)
-
-
-def _propagate(p: np.ndarray, moments: np.ndarray, moment_se: np.ndarray,
-               p_se: np.ndarray) -> float:
-    # linear error propagation through sum_z moment_z * p_z; an undefined
-    # moment SE (single-row pattern, stored as NaN) propagates to NaN, while
-    # empty patterns contribute nothing
-    ms = np.where(p > 0.0, moment_se, 0.0)
-    var = np.sum((p * ms) ** 2) + np.sum((moments * p_se) ** 2)
-    return float(4.0 * np.sqrt(var))
-
-
-def _affine(p: np.ndarray, m1: float, m2: float, m3: float, l1: float) -> tuple[float, float]:
-    upper = 4.0 * (m1 * p[0] + m2 * p[1] + m3 * p[2] + p[3]) - 1.0
-    lower = 4.0 * l1 * p[0] - 1.0
-    return lower, upper
-
-
 def _interval(kind: IntervalKind, base: DistSummary, m1: float | None,
-              l1: float | None, se_1=None) -> TauInterval:
-    """The affine map of ``base`` with the pattern-1 moments (m1, l1).
-
-    When ``se_1`` holds the standard errors of (m1, l1), standard errors are
-    propagated linearly, those of m2 and m3 taken from ``base`` (zero when
-    absent), plus the multinomial contribution of the pattern frequencies
-    when ``base.n`` is known.
-    """
+              l1: float | None, se) -> TauInterval:
+    """The affine map of ``base`` at pattern-1 moments (m1, l1), with SEs ``se``."""
     p = np.asarray(base.p_z, dtype=float)
     m1, l1, m2, m3 = (v if v is not None else 0.0 for v in (m1, l1, base.m2, base.m3))
-    lower, upper = _affine(p, m1, m2, m3, l1)
-    se_lower = se_upper = None
-    if se_1 is not None:
-        se_b = np.asarray(base.se, dtype=float) if base.se is not None else np.zeros(4)
-        p_se = _multinomial_se(p, base.n)
-        se_upper = _propagate(p, np.array([m1, m2, m3, 1.0]),
-                              np.array([se_1[0], se_b[2], se_b[3], 0.0]), p_se)
-        se_lower = _propagate(np.array([p[0], 0, 0, 0]), np.array([l1, 0, 0, 0]),
-                              np.array([se_1[1], 0, 0, 0]), p_se)
-    return TauInterval(lower, upper, kind, se_lower=se_lower, se_upper=se_upper)
+    se_lower, se_upper = se if se is not None else (None, None)
+    return TauInterval(4.0 * l1 * p[0] - 1.0,
+                       4.0 * (m1 * p[0] + m2 * p[1] + m3 * p[2] + p[3]) - 1.0,
+                       kind, se_lower=se_lower, se_upper=se_upper)
 
 
 def worst_case(summary: DistSummary) -> TauInterval:
     """Worst-case identified set (raw, unclipped) from a summary.
 
-    Exact affine evaluation; when ``summary.se`` is present, standard
-    errors are propagated linearly (plus the multinomial contribution of
-    the pattern frequencies when ``summary.n`` is known).
+    Exact affine evaluation; the summary's standard errors, when present,
+    are those of these endpoints.
     """
-    se_1 = summary.se[:2] if summary.se is not None else None
-    return _interval(IntervalKind.WORST_CASE, summary, summary.m1, summary.l1, se_1)
+    return _interval(IntervalKind.WORST_CASE, summary, summary.m1, summary.l1, summary.se)
 
 
 def refined(summary: ThetaSummary) -> TauInterval:
@@ -246,6 +209,59 @@ def refined(summary: ThetaSummary) -> TauInterval:
     """
     return _interval(IntervalKind.REFINED, summary.base, summary.m1_theta,
                      summary.l1_theta, summary.se)
+
+
+def _integrands(upper_uv, lower_uv, weights: np.ndarray, thetas: list[float]) -> np.ndarray:
+    """Integrands of the bound values for the plug-in and both population
+    engines, one row each: worst-case upper, lower, then (refined upper,
+    lower) per theta. Inputs: the (u, v) of the upper and of the lower ones,
+    and (n, 4) pattern weights, the propensities or a one-hot pattern (one
+    row if shared; then missing cells may hold any value in [0, 1])."""
+    (u, v), (lu, lv) = upper_uv, lower_uv
+    p1 = weights[:, 0].copy()
+    tail = weights[:, 1] * u + weights[:, 2] * v + weights[:, 3]
+    cols = np.empty((2 + 2 * len(thetas), len(u)))
+    cols[0] = np.minimum(u, v) * p1 + tail
+    cols[1] = np.maximum(lu + lv - 1.0, 0.0) * p1
+    for j, th in enumerate(thetas):
+        cols[2 + 2 * j] = _upper_surface(th, u, v) * p1 + tail
+        cols[3 + 2 * j] = _lower_surface(th, lu, lv) * p1
+    return cols
+
+
+def _plug_in(ds: Dataset, inputs, thetas=(), projected=False):
+    """The :class:`DistSummary`, then a :class:`ThetaSummary` per theta, of a
+    dataset from its :func:`_integrands` under one-hot weights. ``inputs(rows)``
+    gives their (upper_uv, lower_uv) at ``rows`` and, if ``projected``, n times
+    the projection terms of the worst-case (upper, lower) integrands. A
+    pattern's moment is an integrand's mean over its rows; an endpoint's SE is
+    4 sd / sqrt(n) of its integrand (plus projection) over all rows. Patterns
+    are reduced one at a time, each sorted: row order never changes a bit."""
+    n, width, block = len(ds), 2 + 2 * len(thetas), 1 << 16  # block: rows per integrand call
+    means, parts = [], []  # parts: (rows, mean, variance) of each SE integrand
+    for k in range(4):
+        rows = np.flatnonzero(ds.z == k + 1)
+        cols = np.empty((width, rows.size))
+        for extra in range(1 + projected):  # the integrands, then with the projection
+            for a in range(0, rows.size, block):
+                got = inputs(rows[a:a + block])
+                cols[:, a:a + block] = _integrands(*got[:2], (np.arange(4) == k)[None], thetas)
+                if extra:
+                    cols[:, a:a + block] += got[2] / n
+            cols.sort(axis=1)
+            if not extra:
+                means.append([float(m) for m in cols.sum(axis=1) / rows.size] if rows.size
+                             else [None] * width)
+        if rows.size:
+            parts.append((rows.size, cols.mean(axis=1), cols.var(axis=1)))
+    mean = sum(m * mu for m, mu, _ in parts) / n
+    squares = sum(m * (var + (mu - mean) ** 2) for m, mu, var in parts)
+    se = [4.0 * math.sqrt(q / (n - 1) / n) if n > 1 else math.nan for q in squares]
+    base = DistSummary(tuple(ds.pattern_counts() / n), means[0][0], means[0][1],
+                       means[1][0], means[2][0], se=(se[1], se[0]))
+    return [base] + [ThetaSummary(th, means[0][2 + 2 * j], means[0][3 + 2 * j], base,
+                                  se=(se[3 + 2 * j], se[2 + 2 * j]))
+                     for j, th in enumerate(thetas)]
 
 
 def clip(interval: TauInterval) -> TauInterval:
@@ -269,12 +285,14 @@ def decide(interval: TauInterval, se_guard: float = 0.0) -> Decision:
     above zero and negative iff the upper endpoint is strictly below zero;
     anything else is inconclusive. ``se_guard`` widens the interval by
     that many standard errors first (requires the interval to carry SEs);
-    the default applies the population rule with no tolerance band.
+    the default applies the population rule with no tolerance band. A
+    negative or NaN guard raises ``ValueError``; a NaN SE (estimation gives
+    one only at n = 1) makes the decision inconclusive under any guard > 0.
     """
+    if not se_guard >= 0:
+        raise ValueError(f"se_guard must be a nonnegative number, got {se_guard!r}")
     lower, upper = interval.lower, interval.upper
     if se_guard:
-        if se_guard < 0:
-            raise ValueError("se_guard must be nonnegative")
         if interval.se_lower is None or interval.se_upper is None:
             raise ValueError("se_guard requires an interval with standard errors")
         lower -= se_guard * interval.se_lower
@@ -295,25 +313,16 @@ class StepFunction:
     """Right-continuous nondecreasing step function.
 
     ``base`` is the value left of the first jump; ``cum[i]`` the value from
-    ``xs[i]`` (inclusive) onward. ``terminal`` records the function's value
-    at the supremum of the variable's support, which for a lower CDF
-    envelope is 1 even though the steps plateau below it.
+    ``xs[i]`` (inclusive) onward.
     """
 
     xs: np.ndarray
     cum: np.ndarray
     base: float
-    terminal: float = 1.0
 
     def __call__(self, t) -> float | np.ndarray:
         t = np.asarray(t, dtype=float)
-        # Searching the keys in sorted order keeps the binary searches in
-        # cache; the indices, scattered back through the argsort, are the same.
-        keys = t.ravel()
-        order = np.argsort(keys)
-        idx = np.empty(keys.size, dtype=np.intp)
-        idx[order] = np.searchsorted(self.xs, keys[order], side="right")
-        out = np.concatenate(([self.base], self.cum))[idx.reshape(t.shape)]
+        out = np.concatenate(([self.base], self.cum))[np.searchsorted(self.xs, t, side="right")]
         return float(out) if t.ndim == 0 else out
 
 
@@ -327,16 +336,12 @@ class SteppedCdfBounds:
     upper_g: StepFunction
 
 
-def _envelopes(values: np.ndarray, missing_mass: float, n: int) -> tuple[StepFunction, StepFunction]:
-    if values.size:
-        xs, counts = np.unique(values, return_counts=True)
-        cum = np.cumsum(counts) / n
-    else:
-        xs = np.empty(0)
-        cum = np.empty(0)
-    lower = StepFunction(xs, cum, base=0.0)
-    upper = StepFunction(xs, cum + missing_mass, base=missing_mass)
-    return lower, upper
+def _warn_if_tied(name: str, s: np.ndarray) -> None:
+    """Warn if the sorted values ``s`` repeat (NaN equals nothing, so never does)."""
+    if np.any(s[1:] == s[:-1]):
+        warnings.warn(f"tied values in observed {name}; continuing, but the "
+                      "identification argument assumes continuous data",
+                      TiedDataWarning, stacklevel=3)
 
 
 def marginal_cdf_bounds(records) -> SteppedCdfBounds:
@@ -350,59 +355,62 @@ def marginal_cdf_bounds(records) -> SteppedCdfBounds:
                      + P(Z=3) + P(Z=4)
         lower_f(x) = P(X <= x | Z=1) P(Z=1) + P(X <= x | Z=2) P(Z=2)
 
-    with lower_f jumping to 1 at the supremum of the support (recorded as
-    the ``terminal`` attribute), and symmetrically for y with patterns 2
-    and 3 exchanged.
+    and symmetrically for y with patterns 2 and 3 exchanged.
     """
     ds = as_dataset(records)
-    n = len(ds)
-    counts = ds.pattern_counts()
-    x_obs = ds.x[~np.isnan(ds.x)]
-    y_obs = ds.y[~np.isnan(ds.y)]
-    lower_f, upper_f = _envelopes(np.sort(x_obs), (counts[2] + counts[3]) / n, n)
-    lower_g, upper_g = _envelopes(np.sort(y_obs), (counts[1] + counts[3]) / n, n)
-    return SteppedCdfBounds(lower_f, upper_f, lower_g, upper_g)
+    n, c = len(ds), ds.pattern_counts()
+    envelopes = []
+    for values, missing in ((ds.x, c[2] + c[3]), (ds.y, c[1] + c[3])):
+        knots, counts = np.unique(values[~np.isnan(values)], return_counts=True)
+        cum = np.cumsum(counts) / n
+        envelopes += [StepFunction(knots, cum, base=0.0),
+                      StepFunction(knots, cum + missing / n, base=missing / n)]
+    return SteppedCdfBounds(*envelopes)
 
 
-def _moment(values: np.ndarray) -> tuple[float | None, float]:
-    """Order-independent sample mean and standard error of a transform."""
-    m = values.size
-    if m == 0:
-        return None, math.nan
-    s = np.sort(values)
-    mean = float(np.sum(s) / m)
-    if m == 1:
-        return mean, math.nan
-    return mean, float(np.std(s, ddof=1) / math.sqrt(m))
-
-
-def _pattern_summary(ds: Dataset, upper, lower) -> DistSummary:
-    """Pattern frequencies and the four bound moments, with standard errors.
-
-    ``upper`` is the pair of transforms (f, g) applied to x and y in the
-    upper-bound moments m1, m2, m3; ``lower`` the pair applied in the
-    lower-bound moment l1. Moments of empty patterns stay absent.
-    """
-    n = len(ds)
-    (f_up, g_up), (f_lo, g_lo) = upper, lower
-    pat1 = ds.z == 1
-    x1, y1 = ds.x[pat1], ds.y[pat1]
-    m1, se_m1 = _moment(np.minimum(f_up(x1), g_up(y1)))
-    l1, se_l1 = _moment(np.maximum(f_lo(x1) + g_lo(y1) - 1.0, 0.0))
-    m2, se_m2 = _moment(f_up(ds.x[ds.z == 2]))
-    m3, se_m3 = _moment(g_up(ds.y[ds.z == 3]))
-    return DistSummary(tuple(ds.pattern_counts() / n), m1, l1, m2, m3,
-                       se=(se_m1, se_l1, se_m2, se_m3), n=n)
-
-
-def envelope_summary(records, cdf_bounds: SteppedCdfBounds) -> DistSummary:
-    """Summary with the margin transforms replaced by the CDF envelopes.
-
-    The upper envelopes enter the upper-bound moments (m1, m2, m3) and the
-    lower envelopes the lower-bound moment (l1), matching the closed-form
-    worst case over all margins admissible under ``cdf_bounds``.
-    """
+def envelope_summary(records) -> DistSummary:
+    """Worst-case summary over all margins within the CDF envelopes of
+    ``records`` (:func:`marginal_cdf_bounds`): the upper envelopes replace
+    the margin transforms in m1, m2 and m3, the lower ones in l1. In the
+    SEs each row's integrand carries its Hajek projection: the envelopes
+    come from the same rows, each adding its indicator to them."""
     ds = as_dataset(records)
-    return _pattern_summary(ds, (cdf_bounds.upper_f, cdf_bounds.upper_g),
-                            (cdf_bounds.lower_f, cdf_bounds.lower_g))
+    n, z, c = len(ds), ds.z, ds.pattern_counts()
+    missing = (c[2] + c[3], c[1] + c[3])
+    # per column, n times the lower envelope at each row; these counts and
+    # the projection's (below 2n) are exact in int32 for n < 2^30
+    ranked, at_or_below = [], []
+    for name, values in (("x", ds.x), ("y", ds.y)):
+        rows = np.flatnonzero(~np.isnan(values))
+        rows = rows[np.argsort(values[rows])].astype(np.int32)
+        s = values[rows]
+        _warn_if_tied(name, s)
+        # runs of equal values: each sorted value's first position, and its count
+        starts = np.flatnonzero(np.diff(s, prepend=np.nan) != 0.0)
+        run = np.repeat(np.arange(starts.size), np.diff(starts, append=s.size))
+        ranked.append((rows, starts[run].astype(np.int32)))
+        at_or_below.append(np.zeros(n, np.int32))
+        at_or_below[-1][rows] = np.append(starts[1:], s.size)[run]
 
+    # rows whose upper integrand reads F, G; whose lower one reads both (exactly, on n F)
+    pat1 = z == 1
+    reads_lower = pat1 & (at_or_below[0] + at_or_below[1] > n)
+    f_le_g = at_or_below[0] + missing[0] <= at_or_below[1] + missing[1]
+    reads_upper = ((z == 2) | pat1 & f_le_g, (z == 3) | pat1 & ~f_le_g)
+    # Row j adds 1{x_j missing or x_j <= t} to n F_upper(t), 1{x_j observed,
+    # x_j <= t} to n F_lower(t): over the readers i of F at x_i, those with
+    # x_i >= x_j if x_j is observed, else all of them (upper) or none (lower).
+    shift, term = np.zeros((2, n), np.int32), np.empty(n, np.int32)
+    for (rows, first), reads in zip(ranked, reads_upper):
+        for k, (readers, if_missing) in enumerate(((reads, np.count_nonzero(reads)),
+                                                   (reads_lower, 0))):
+            term.fill(if_missing)
+            term[rows] = np.cumsum(readers[rows[::-1]], dtype=np.int32)[::-1][first]
+            shift[k] += term
+    del ranked, reads_upper, reads_lower, term, rows, first, s, run, pat1, f_le_g  # freed
+
+    def inputs(rows):
+        lower = tuple(count[rows] / n for count in at_or_below)
+        return tuple(a + m / n for a, m in zip(lower, missing)), lower, shift[:, rows]
+
+    return _plug_in(ds, inputs, projected=True)[0]

@@ -112,11 +112,14 @@ def constrained_lower(theta: float, u, v) -> float | np.ndarray:
     Dominates the lower envelope ``max(u + v - 1, 0)`` pointwise, equals it
     at ``theta = 0``, and equals ``theta`` at the median point (1/2, 1/2).
     """
-    th = check_theta(theta)
-    uu, vv = _unit("u", u), _unit("v", v)
-    slack = th - np.maximum(0.5 - uu, 0.0) - np.maximum(0.5 - vv, 0.0)
-    out = np.maximum(np.maximum(uu + vv - 1.0, 0.0), slack)
+    out = _lower_surface(check_theta(theta), _unit("u", u), _unit("v", v))
     return _maybe_scalar(out, u, v)
+
+
+def _lower_surface(th: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # unchecked, as is _upper_surface: the integrands' inputs are checked upstream
+    slack = th - np.maximum(0.5 - u, 0.0) - np.maximum(0.5 - v, 0.0)
+    return np.maximum(np.maximum(u + v - 1.0, 0.0), slack)
 
 
 def constrained_upper(theta: float, u, v) -> float | np.ndarray:
@@ -126,11 +129,13 @@ def constrained_upper(theta: float, u, v) -> float | np.ndarray:
     Is dominated by the upper envelope ``min(u, v)`` pointwise and equals
     it at ``theta = 1/2``.
     """
-    th = check_theta(theta)
-    uu, vv = _unit("u", u), _unit("v", v)
-    cap = th + np.maximum(uu - 0.5, 0.0) + np.maximum(vv - 0.5, 0.0)
-    out = np.minimum(np.minimum(uu, vv), cap)
+    out = _upper_surface(check_theta(theta), _unit("u", u), _unit("v", v))
     return _maybe_scalar(out, u, v)
+
+
+def _upper_surface(th: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    cap = th + np.maximum(u - 0.5, 0.0) + np.maximum(v - 0.5, 0.0)
+    return np.minimum(np.minimum(u, v), cap)
 
 
 def _sample_with(rng: np.random.Generator, spec: CopulaSpec, count: int) -> np.ndarray:

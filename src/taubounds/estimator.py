@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +28,8 @@ from .bounds import (
     SteppedCdfBounds,
     TauInterval,
     ThetaSummary,
-    _moment,
-    _pattern_summary,
+    _plug_in,
+    _warn_if_tied,
     clip,
     decide,
     envelope_summary,
@@ -38,9 +37,10 @@ from .bounds import (
     refined,
     worst_case,
 )
-from .copulas import check_theta, constrained_lower, constrained_upper
-from .data import Dataset, as_dataset
-from .errors import MarginTableError, TiedDataWarning, UnsupportedAnalysisError
+# constrained_* are not called here; the benchmark's traced run rebinds them
+from .copulas import check_theta, constrained_lower, constrained_upper  # noqa: F401
+from .data import as_dataset
+from .errors import MarginTableError, UnsupportedAnalysisError
 
 __all__ = [
     "MarginKind",
@@ -117,7 +117,8 @@ class CdfTable:
 
     def __call__(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
-        if arr.size and (arr.min() < self.knots[0] or arr.max() > self.knots[-1]):
+        # NaN (a missing cell) compares false, so it passes through as NaN
+        if np.any(arr < self.knots[0]) or np.any(arr > self.knots[-1]):
             raise MarginTableError(
                 f"data value outside the CDF table support "
                 f"[{self.knots[0]}, {self.knots[-1]}]")
@@ -156,15 +157,6 @@ def _uniform_cdf(a: np.ndarray) -> np.ndarray:
     return np.clip(a, 0.0, 1.0)
 
 
-def _warn_on_ties(ds: Dataset) -> None:
-    for name, values in (("x", ds.x[~np.isnan(ds.x)]), ("y", ds.y[~np.isnan(ds.y)])):
-        s = np.sort(values)
-        if s.size > 1 and np.any(s[1:] == s[:-1]):
-            warnings.warn(f"tied values in observed {name}; continuing, but the "
-                          "identification argument assumes continuous data",
-                          TiedDataWarning, stacklevel=3)
-
-
 def _transforms(margins: MarginMode):
     if margins.kind is MarginKind.UNIFORM01:
         return _uniform_cdf, _uniform_cdf
@@ -179,23 +171,24 @@ def summarize(records, margins: MarginMode, theta: float | None = None):
     """Pattern frequencies and conditional bound moments of a dataset.
 
     Returns a :class:`DistSummary`, or a :class:`ThetaSummary` when
-    ``theta`` is given. Sampling standard errors are attached; moments of
-    empty patterns stay absent. Unknown margins raise
+    ``theta`` is given, with the SEs of its endpoints; moments of empty
+    patterns stay absent. Unknown margins raise
     :class:`UnsupportedAnalysisError`; :func:`analyze` handles them.
     """
     ds = as_dataset(records)
     if theta is not None:
         check_theta(theta)
     fx, gy = _transforms(margins)
-    _warn_on_ties(ds)
-    base = _pattern_summary(ds, (fx, gy), (fx, gy))
-    if theta is None:
-        return base
-    pat1 = ds.z == 1
-    u1, v1 = fx(ds.x[pat1]), gy(ds.y[pat1])
-    m1t, se_m1t = _moment(constrained_upper(theta, u1, v1))
-    l1t, se_l1t = _moment(constrained_lower(theta, u1, v1))
-    return ThetaSummary(theta, m1t, l1t, base, se=(se_m1t, se_l1t))
+    for name, values in (("x", ds.x), ("y", ds.y)):
+        _warn_if_tied(name, np.sort(values))
+
+    def inputs(rows):
+        # filled after the transform: a CdfTable rejects values outside its knots
+        x, y = ds.x[rows], ds.y[rows]
+        uv = (np.where(np.isnan(x), 0.0, fx(x)), np.where(np.isnan(y), 0.0, gy(y)))
+        return uv, uv
+
+    return _plug_in(ds, inputs, [] if theta is None else [theta])[-1]
 
 
 @dataclass(frozen=True)
@@ -272,9 +265,8 @@ def analyze(records, margins: MarginMode, theta: float | None = None,
         if theta is not None:
             raise UnsupportedAnalysisError(
                 "theta-refined bounds are defined only under known margins")
-        _warn_on_ties(ds)
-        cdf_bounds = marginal_cdf_bounds(ds)
-        summary = envelope_summary(ds, cdf_bounds)
+        summary = envelope_summary(ds)
+        cdf_bounds = marginal_cdf_bounds(ds)  # second: envelope_summary's arrays are freed
         wc_raw = worst_case(summary)
     else:
         summary = summarize(ds, margins, theta)

@@ -32,12 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .bounds import Decision, IntervalKind, TauInterval
-# not called here since tau became a closed form; the benchmark's traced run
-# still rebinds mgp.kendall_tau
+from .bounds import Decision, IntervalKind, TauInterval, _integrands as _bound_integrands
+# kendall_tau and the constrained surfaces are not called here (bounds._integrands
+# evaluates the surfaces); the benchmark's traced run still rebinds them
 from .concordance import kendall_tau  # noqa: F401
-from .copulas import CopulaKind, CopulaSpec, check_theta, constrained_lower, \
-    constrained_upper, _rng_for, _sample_with
+from .copulas import CopulaKind, CopulaSpec, check_theta, _rng_for, _sample_with
+from .copulas import constrained_lower, constrained_upper  # noqa: F401
 from .data import Dataset
 from .errors import DomainError
 
@@ -287,24 +287,18 @@ _THETA_MATCH_FLOOR = 1e-12
 def _integrands(config: MgpConfig, thetas: list[float], uv: np.ndarray) -> np.ndarray:
     """Integrands of the population bound values at the latent points ``uv``.
 
-    One column each: worst-case upper and lower, (refined upper, lower) per
-    theta, the four propensities and the median-quadrant indicator. Their
-    expectations under the copula are the bound values; both engines
+    One column each: those of :func:`bounds._integrands` under the
+    propensities, the four propensities and the median-quadrant indicator.
+    Their expectations under the copula are the bound values; both engines
     average this table.
     """
     u, v = uv[:, 0], uv[:, 1]
     x, y = _covariates(uv, config.covariate_scale)
     pi = propensity(config, x, y)
-    p1 = pi[:, 0].copy()
-    tail = pi[:, 1] * u + pi[:, 2] * v + pi[:, 3]
     # filled one integrand per row, which writes contiguously, and returned
     # one point per row
     cols = np.empty((2 + 2 * len(thetas) + 5, len(uv)))
-    cols[0] = np.minimum(u, v) * p1 + tail
-    cols[1] = np.maximum(u + v - 1.0, 0.0) * p1
-    for j, th in enumerate(thetas):
-        cols[2 + 2 * j] = constrained_upper(th, u, v) * p1 + tail
-        cols[3 + 2 * j] = constrained_lower(th, u, v) * p1
+    cols[:-5] = _bound_integrands((u, v), (u, v), pi, thetas)
     cols[-5:-1] = pi.T
     cols[-1] = (u <= 0.5) & (v <= 0.5)
     return np.ascontiguousarray(cols.T)

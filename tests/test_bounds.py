@@ -67,26 +67,32 @@ class TestWorstCase:
             assert l1_back == pytest.approx(l1, abs=1e-12)
 
     def test_se_propagation(self):
+        # the summary's SEs are those of its endpoints: the maps copy them
         s = summary((0.5, 0.2, 0.2, 0.1), m1=0.4, l1=0.2, m2=0.5, m3=0.5,
-                    se=(0.01, 0.02, 0.03, 0.04))
-        interval = worst_case(s)
-        expected_upper = 4 * math.sqrt((0.5 * 0.01) ** 2 + (0.2 * 0.03) ** 2
-                                       + (0.2 * 0.04) ** 2)
-        expected_lower = 4 * math.sqrt((0.5 * 0.02) ** 2)
-        assert interval.se_upper == pytest.approx(expected_upper, rel=1e-12)
-        assert interval.se_lower == pytest.approx(expected_lower, rel=1e-12)
+                    se=(0.01, 0.02))
+        ts = ThetaSummary(0.3, 0.35, 0.25, s, se=(0.03, 0.04))
+        assert (worst_case(s).se_lower, worst_case(s).se_upper) == (0.01, 0.02)
+        assert (refined(ts).se_lower, refined(ts).se_upper) == (0.03, 0.04)
+        with pytest.raises(InvalidSummaryError, match="2 entries"):
+            summary((1, 0, 0, 0), m1=0.5, l1=0.2, se=(0.01, 0.02, 0.03, 0.04))
 
     def test_se_propagation_with_multinomial_part(self):
-        n = 400
-        s = summary((0.5, 0.2, 0.2, 0.1), m1=0.4, l1=0.2, m2=0.5, m3=0.5,
-                    se=(0.01, 0.02, 0.03, 0.04), n=n)
+        # every pattern moment is exact (no within-pattern spread), so the
+        # SE is the multinomial spread of the pattern frequencies alone, with
+        # their covariances: the per-row upper integrand is 0.5 (pattern 1)
+        # or 1 (pattern 4), a two-point variable
+        from taubounds import MarginMode, TiedDataWarning, summarize
+
+        n1, n4 = 30, 10
+        n = n1 + n4
+        with pytest.warns(TiedDataWarning):
+            s = summarize(Dataset.from_records([(0.5, 0.5)] * n1 + [(None, None)] * n4),
+                          MarginMode.uniform01())
+        p4 = n4 / n
+        sd = 0.5 * math.sqrt(p4 * (1 - p4) * n / (n - 1))
         interval = worst_case(s)
-        p_se = [math.sqrt(p * (1 - p) / n) for p in (0.5, 0.2, 0.2, 0.1)]
-        expected_upper = 4 * math.sqrt(
-            (0.5 * 0.01) ** 2 + (0.2 * 0.03) ** 2 + (0.2 * 0.04) ** 2
-            + (0.4 * p_se[0]) ** 2 + (0.5 * p_se[1]) ** 2
-            + (0.5 * p_se[2]) ** 2 + (1.0 * p_se[3]) ** 2)
-        assert interval.se_upper == pytest.approx(expected_upper, rel=1e-12)
+        assert interval.se_upper == pytest.approx(4 * sd / math.sqrt(n), rel=1e-12)
+        assert interval.se_lower == 0.0  # every lower integrand is 0
 
 
 class TestSummaryValidation:
@@ -223,6 +229,23 @@ class TestClipAndDecide:
         with pytest.raises(ValueError):
             decide(bare, se_guard=1.0)
 
+    @pytest.mark.parametrize("guard", [math.nan, -1.0, -math.inf])
+    def test_decide_rejects_nan_and_negative_guards(self, guard):
+        interval = TauInterval(0.01, 0.5, IntervalKind.REFINED,
+                               se_lower=0.02, se_upper=0.02)
+        with pytest.raises(ValueError, match="nonnegative number"):
+            decide(interval, se_guard=guard)
+
+    def test_nan_se_is_inconclusive_under_any_guard(self):
+        # estimation leaves an SE undefined only at n = 1
+        for lower, upper, decided in ((0.01, 0.5, Decision.DEPENDENCE_POSITIVE),
+                                      (-0.5, -0.01, Decision.DEPENDENCE_NEGATIVE)):
+            interval = TauInterval(lower, upper, IntervalKind.REFINED,
+                                   se_lower=math.nan, se_upper=math.nan)
+            assert decide(interval) is decided
+            for guard in (1e-300, 1e-9, 1.0, 3.0):
+                assert decide(interval, se_guard=guard) is Decision.INCONCLUSIVE
+
     def test_interval_validation(self):
         with pytest.raises(InvalidSummaryError):
             TauInterval(0.5, 0.2, IntervalKind.WORST_CASE)
@@ -249,7 +272,6 @@ class TestMarginalCdfBounds:
         for t in (-10.0, 0.0, 37.5):
             assert env.lower_f(t) == 0.0
             assert env.upper_f(t) == 1.0
-        assert env.lower_f.terminal == 1.0
 
     def test_step_function_matches_unsorted_search(self):
         rng = np.random.default_rng(11)
@@ -285,7 +307,6 @@ class TestMarginalCdfBounds:
         assert np.all(ts <= env.upper_f(ts))
         assert np.all(np.diff(env.lower_f(ts)) >= 0)
         assert np.all(np.diff(env.upper_f(ts)) >= 0)
-        assert env.lower_f.terminal == env.upper_f.terminal == 1.0
 
 
 class TestWorstCaseUnknownMargins:
@@ -294,8 +315,7 @@ class TestWorstCaseUnknownMargins:
         xs = rng.random(40)
         ys = rng.random(40)
         ds = Dataset.from_records(list(zip(xs, ys)))
-        env = marginal_cdf_bounds(ds)
-        interval = worst_case(envelope_summary(ds, env))
+        interval = worst_case(envelope_summary(ds))
         # with complete data the envelopes are the empirical CDFs
         u = np.array([np.mean(xs <= x) for x in xs])
         v = np.array([np.mean(ys <= y) for y in ys])
@@ -307,7 +327,7 @@ class TestWorstCaseUnknownMargins:
 
     def test_all_missing_raw(self):
         ds = Dataset.from_records([(None, None)] * 7)
-        interval = worst_case(envelope_summary(ds, marginal_cdf_bounds(ds)))
+        interval = worst_case(envelope_summary(ds))
         assert (interval.lower, interval.upper) == (-1.0, 3.0)
 
     def test_eight_record_hand_fixture(self):
@@ -315,8 +335,7 @@ class TestWorstCaseUnknownMargins:
             (0.2, 0.7), (0.5, 0.1), (0.9, None), (0.4, None),
             (None, 0.3), (None, None), (0.6, 0.6), (None, 0.9),
         ])
-        env = marginal_cdf_bounds(ds)
-        s = envelope_summary(ds, env)
+        s = envelope_summary(ds)
         # hand-evaluated envelope transforms (n = 8, missing-x and missing-y
         # mass both 3/8): pattern-1 upper mins are 4/8, 4/8, 6/8
         assert s.m1 == pytest.approx(7 / 12, abs=1e-12)
@@ -332,7 +351,7 @@ class TestWorstCaseUnknownMargins:
                                      [0.2, 0.2]]),
                            CopulaSpec.gaussian(0.6), CovariateScale.UNIFORM01)
         ds = simulate_dataset(config, 30_000, seed=9)
-        unknown = worst_case(envelope_summary(ds, marginal_cdf_bounds(ds)))
+        unknown = worst_case(envelope_summary(ds))
         from taubounds import MarginMode, summarize
         known = worst_case(summarize(ds, MarginMode.uniform01()))
         assert unknown.lower <= known.lower + 1e-12

@@ -100,6 +100,41 @@ class TestAnalyzeCommand:
                        "--theta", "0.4") == 2
         assert "known margins" in capsys.readouterr().err
 
+    def test_nan_se_guard_exit_2(self, tmp_path, capsys):
+        # four countermonotone rows: at theta = 0 the refined upper endpoint
+        # is -0.4, so the decision is negative, and a NaN guard must not turn
+        # it into an inconclusive exit 0
+        data = tmp_path / "data.csv"
+        data.write_text("x,y\n0.1,0.9\n0.9,0.1\n0.3,0.7\n0.7,0.3\n", encoding="utf-8")
+        args = ("analyze", "--input", str(data), "--theta", "0", "--format", "json")
+        assert run_cli(*args, "--se-guard", "0") == 0
+        assert json.loads(capsys.readouterr().out)["decision"] == "dependence_negative"
+        assert run_cli(*args, "--se-guard", "nan") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "se_guard must be a nonnegative number" in captured.err
+
+    def test_single_complete_row_has_finite_ses(self, tmp_path, capsys):
+        # the per-row SE spans all rows, so one complete row no longer makes
+        # the SEs undefined (null) and a guard widens by them
+        rng = np.random.default_rng(5)
+        data = tmp_path / "data.csv"
+        write_csv(Dataset([0.8] + list(rng.random(100)) + [math.nan] * 50,
+                          [0.9] + [math.nan] * 150), data)
+        report = tmp_path / "report.json"
+        assert run_cli("analyze", "--input", str(data), "--theta", "0.4",
+                       "--se-guard", "2", "--output", str(report)) == 0
+        payload = json.loads(report.read_text())
+        assert payload["pattern_counts"] == [1, 100, 0, 50]
+        for block in ("worst_case", "refined"):
+            for side in ("lower", "upper"):
+                se = payload[block]["se"][side]
+                assert se is not None and math.isfinite(se) and se > 0.0
+        refined_clipped = payload["refined"]["clipped"]
+        assert refined_clipped["lower"] - 2 * payload["refined"]["se"]["lower"] < 0.0
+        assert payload["decision"] == "inconclusive"
+        assert "(se " in capsys.readouterr().out
+
     def test_from_file_margins(self, tmp_path):
         table = tmp_path / "uniform.csv"
         table.write_text("value,cdf\n0.0,0.0\n1.0,1.0\n", encoding="utf-8")

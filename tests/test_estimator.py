@@ -56,7 +56,7 @@ class TestDataset:
     lambda records: analyze(records, UNIFORM),
     lambda records: summarize(records, UNIFORM),
     marginal_cdf_bounds,
-    lambda records: envelope_summary(records, marginal_cdf_bounds([(0.5, 0.5)])),
+    envelope_summary,
 ], ids=["analyze", "summarize", "marginal_cdf_bounds", "envelope_summary"])
 def test_empty_input_rejected(call, records):
     with pytest.raises(EmptyDataError, match="^no records supplied$"):
@@ -72,8 +72,9 @@ class TestSummarize:
         assert s.l1 == 0.0
         assert s.m2 == 0.3
         assert s.m3 == 0.8
-        assert s.n == 4
-        assert math.isnan(s.se[0])  # single pattern-1 row: SE unknown
+        # the SEs spread the per-row integrands over all four rows, so a
+        # single-row pattern leaves them defined
+        assert s.se == (0.0, pytest.approx(4 * np.std([0.5, 0.3, 0.8, 1.0], ddof=1) / 2))
 
     def test_comonotone_constants_recovered(self):
         uv = sample_copula(CopulaSpec.comonotone(), 100_000, seed=2)
@@ -148,6 +149,17 @@ class TestCdfTable:
     def test_range_error(self):
         table = CdfTable(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
         ds = Dataset.from_records([(1.5, 0.5), (0.2, 0.8)])
+        with pytest.raises(MarginTableError):
+            summarize(ds, MarginMode.from_tables(table, table))
+
+    def test_range_error_next_to_missing_cells(self):
+        # a missing (NaN) cell passes through as NaN and must not hide an
+        # out-of-range value in the same call
+        table = CdfTable(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        assert np.isnan(table(np.array([np.nan, 0.5]))[0])
+        with pytest.raises(MarginTableError):
+            table(np.array([np.nan, 1.5]))
+        ds = Dataset.from_records([(1.5, None), (None, 0.8), (0.2, 0.3)])
         with pytest.raises(MarginTableError):
             summarize(ds, MarginMode.from_tables(table, table))
 
@@ -269,7 +281,7 @@ class TestAnalyze:
 
     def test_se_guard_flips_marginal_decision(self):
         base = DistSummary((1.0, 0.0, 0.0, 0.0), 0.5, 0.2505, None, None,
-                           se=(0.001, 0.001, math.nan, math.nan), n=10_000)
+                           se=(0.001, 0.001))
         ts = ThetaSummary(0.4, 0.45, 0.2505, base, se=(0.001, 0.001))
         from taubounds import clip, decide, refined
 
@@ -291,6 +303,11 @@ class TestAnalyze:
                 "report_schema.json").open("r", encoding="utf-8") as fh:
             schema = json.load(fh)
         jsonschema.validate(payload, schema)
-        assert payload["worst_case"]["se"]["lower"] is None  # NaN became null
+        assert payload["worst_case"]["se"]["lower"] == 0.0  # one row per pattern
         assert payload["refined"] is not None
         assert payload["decision"] == report.decision.value
+        # an SE is undefined only at n = 1, where NaN becomes null
+        single = analyze([(0.5, 0.5)], UNIFORM, theta=0.25).to_report_dict()
+        jsonschema.validate(single, schema)
+        for block in (single["worst_case"], single["refined"]):
+            assert block["se"] == {"lower": None, "upper": None}
