@@ -215,11 +215,12 @@ def _integrands(upper_uv, lower_uv, weights: np.ndarray, thetas: list[float]) ->
     """Integrands of the bound values for the plug-in and both population
     engines, one row each: worst-case upper, lower, then (refined upper,
     lower) per theta. Inputs: the (u, v) of the upper and of the lower ones,
-    and (n, 4) pattern weights, the propensities or a one-hot pattern (one
-    row if shared; then missing cells may hold any value in [0, 1])."""
+    and (4, n) pattern weights, one row per pattern: the propensities, or a
+    one-hot pattern as a (4, 1) column shared by every point (then missing
+    cells may hold any value in [0, 1])."""
     (u, v), (lu, lv) = upper_uv, lower_uv
-    p1 = weights[:, 0].copy()
-    tail = weights[:, 1] * u + weights[:, 2] * v + weights[:, 3]
+    p1 = weights[0]
+    tail = weights[1] * u + weights[2] * v + weights[3]
     cols = np.empty((2 + 2 * len(thetas), len(u)))
     cols[0] = np.minimum(u, v) * p1 + tail
     cols[1] = np.maximum(lu + lv - 1.0, 0.0) * p1
@@ -245,7 +246,7 @@ def _plug_in(ds: Dataset, inputs, thetas=(), projected=False):
         for extra in range(1 + projected):  # the integrands, then with the projection
             for a in range(0, rows.size, block):
                 got = inputs(rows[a:a + block])
-                cols[:, a:a + block] = _integrands(*got[:2], (np.arange(4) == k)[None], thetas)
+                cols[:, a:a + block] = _integrands(*got[:2], (np.arange(4) == k)[:, None], thetas)
                 if extra:
                     cols[:, a:a + block] += got[2] / n
             cols.sort(axis=1)

@@ -50,6 +50,7 @@ class Dataset:
             if np.isinf(values).any():
                 raise DomainError(f"non-finite {name} value; a missing cell is NaN")
         self.z = _patterns(self.x, self.y)
+        self._counts = None
 
     @staticmethod
     def from_records(records: Iterable) -> "Dataset":
@@ -64,8 +65,12 @@ class Dataset:
         return self.x.size
 
     def pattern_counts(self) -> np.ndarray:
-        """Counts of patterns 1..4 as a length-4 integer array."""
-        return np.bincount(self.z, minlength=5)[1:5]
+        """Counts of patterns 1..4 as a length-4 read-only integer array,
+        counted on the first call."""
+        if self._counts is None:
+            self._counts = np.bincount(self.z, minlength=5)[1:5]
+            self._counts.setflags(write=False)
+        return self._counts
 
     def permuted(self, order: np.ndarray) -> "Dataset":
         return Dataset(self.x[order], self.y[order])

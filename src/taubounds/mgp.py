@@ -96,18 +96,21 @@ class MgpConfig:
 
 
 def propensity(config: MgpConfig, x, y) -> np.ndarray:
-    """Pattern probabilities P[Z = . | x, y]; last axis has length 4.
+    """Pattern probabilities P[Z = . | x, y], pattern-major: shape ``(4,) + x.shape``.
 
     Overflow-safe (max-logit subtraction); entries are positive and sum
-    to 1.
+    to 1. Row k is pattern k + 1, so long inputs are reduced across four
+    contiguous rows, not along a short last axis. The normaliser is summed
+    ((w0 + w1) + w2) + w3, the order in which numpy sums a last axis of
+    length 4: every value equals that of the softmax along such an axis.
     """
     xx = np.asarray(x, dtype=float)
     yy = np.asarray(y, dtype=float)
-    logits = (xx[..., None] * config.gamma[:, 0]
-              + yy[..., None] * config.gamma[:, 1])
-    logits -= logits.max(axis=-1, keepdims=True)
-    weights = np.exp(logits)
-    return weights / weights.sum(axis=-1, keepdims=True)
+    logits = np.stack([xx * gx + yy * gy for gx, gy in config.gamma])
+    logits -= np.maximum(np.maximum(logits[0], logits[1]), np.maximum(logits[2], logits[3]))
+    weights = np.exp(logits, out=logits)
+    weights /= ((weights[0] + weights[1]) + weights[2]) + weights[3]
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +194,8 @@ def _block_sizes(total: int) -> list[int]:
     return sizes
 
 
-def _covariates(uv: np.ndarray, scale: CovariateScale) -> tuple[np.ndarray, np.ndarray]:
-    u, v = uv[:, 0], uv[:, 1]
+def _covariates(u: np.ndarray, v: np.ndarray,
+                scale: CovariateScale) -> tuple[np.ndarray, np.ndarray]:
     if scale is CovariateScale.UNIFORM01:
         return u, v
     # clip keeps the normal scores finite for u rounded to exactly 0 or 1
@@ -216,11 +219,11 @@ def _draw_block(config: MgpConfig, seed: int, index: int, size: int):
     rng = _rng_for(int(seed), index)
     uv = _sample_with(rng, config.copula, size)
     t = rng.random(size)
-    x, y = _covariates(uv, config.covariate_scale)
-    cum = np.cumsum(propensity(config, x, y), axis=1)
-    z = (1 + (t > cum[:, 0]).astype(np.uint8)
-         + (t > cum[:, 1]).astype(np.uint8)
-         + (t > cum[:, 2]).astype(np.uint8))
+    x, y = _covariates(uv[:, 0], uv[:, 1], config.covariate_scale)
+    cum = np.cumsum(propensity(config, x, y)[:3], axis=0)
+    z = (1 + (t > cum[0]).astype(np.uint8)
+         + (t > cum[1]).astype(np.uint8)
+         + (t > cum[2]).astype(np.uint8))
     return uv, x, y, z
 
 
@@ -284,24 +287,22 @@ class PopulationBounds:
 _THETA_MATCH_FLOOR = 1e-12
 
 
-def _integrands(config: MgpConfig, thetas: list[float], uv: np.ndarray) -> np.ndarray:
-    """Integrands of the population bound values at the latent points ``uv``.
+def _integrands(config: MgpConfig, thetas: list[float], u: np.ndarray,
+                v: np.ndarray) -> np.ndarray:
+    """Integrands of the population bound values at the latent points (u, v).
 
-    One column each: those of :func:`bounds._integrands` under the
-    propensities, the four propensities and the median-quadrant indicator.
-    Their expectations under the copula are the bound values; both engines
-    average this table.
+    Shape ``(2 + 2 * len(thetas) + 5, len(u))``, one row per integrand:
+    those of :func:`bounds._integrands` under the propensities, the four
+    propensities and the median-quadrant indicator. Their expectations
+    under the copula are the bound values; both engines average this table.
     """
-    u, v = uv[:, 0], uv[:, 1]
-    x, y = _covariates(uv, config.covariate_scale)
+    x, y = _covariates(u, v, config.covariate_scale)
     pi = propensity(config, x, y)
-    # filled one integrand per row, which writes contiguously, and returned
-    # one point per row
-    cols = np.empty((2 + 2 * len(thetas) + 5, len(uv)))
+    cols = np.empty((2 + 2 * len(thetas) + 5, len(u)))
     cols[:-5] = _bound_integrands((u, v), (u, v), pi, thetas)
-    cols[-5:-1] = pi.T
+    cols[-5:-1] = pi
     cols[-1] = (u <= 0.5) & (v <= 0.5)
-    return np.ascontiguousarray(cols.T)
+    return cols
 
 
 def _assemble(thetas: list[float], mean: np.ndarray, err: np.ndarray, warn: bool,
@@ -370,7 +371,9 @@ def population_bounds_sweep(
 
     def task(index: int, size: int):
         uv = _sample_with(_rng_for(int(seed), index), config.copula, size)
-        cols = _integrands(config, thetas, uv)
+        # summed down a (points, columns) copy: each column in point order,
+        # where a sum along the rows of the table would sum pairwise
+        cols = np.ascontiguousarray(_integrands(config, thetas, uv[:, 0], uv[:, 1]).T)
         return cols.sum(axis=0), (cols * cols).sum(axis=0)
 
     parts = _run_blocks(task, int(draws), workers)
@@ -547,10 +550,10 @@ def _strip_sums(config: MgpConfig, thetas: list[float], a: np.ndarray, b: np.nda
             w = w[node, piece]
             weight = z_weight[lo + node] * w_weight[node, piece] * np.exp(-0.5 * w * w)
             v = special.ndtr(rho * zc[node] + s * w)
-            cols = _integrands(config, thetas, np.column_stack((u[node], v)))
+            cols = _integrands(config, thetas, u[node], v)
             # every node keeps points, as its panels span the whole w range
             starts = np.flatnonzero(np.diff(node, prepend=-1))
-            by_node[lo:lo + len(zc)] = np.add.reduceat(cols * weight[:, None], starts, axis=0)
+            by_node[lo:lo + len(zc)] = np.add.reduceat(cols * weight, starts, axis=1).T
         out[strips] = by_node.reshape(len(strips), outer, -1).sum(axis=1)
     return out
 

@@ -1,6 +1,7 @@
 """Tests for the plug-in estimator: summaries, margin modes, analysis reports."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -49,6 +50,15 @@ class TestDataset:
             Dataset(*cells)
         with pytest.raises(DomainError, match=f"non-finite {column}"):
             Dataset.from_records(zip(*cells))
+
+    def test_patterns_counted_once(self):
+        ds = simulate_dataset(SCENARIOS["P3"].config(), 2000, seed=1)
+        with mock.patch.object(np, "bincount", wraps=np.bincount) as bincount:
+            report = analyze(ds, MarginMode.unknown())
+            counts = ds.pattern_counts()
+        assert bincount.call_count == 1
+        assert counts is ds.pattern_counts() and not counts.flags.writeable
+        assert list(report.pattern_counts) == [np.sum(ds.z == k) for k in (1, 2, 3, 4)]
 
 
 @pytest.mark.parametrize("records", [[], Dataset([], [])], ids=["list", "dataset"])

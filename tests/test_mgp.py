@@ -22,7 +22,7 @@ from taubounds import (
 )
 from taubounds.concordance import kendall_tau
 from taubounds.copulas import _rng_for, _sample_with
-from taubounds.mgp import BLOCK_SIZE, _block_sizes, _simulate_latent
+from taubounds.mgp import BLOCK_SIZE, _block_sizes, _covariates, _draw_block, _simulate_latent
 
 
 def config_of(gamma, copula=None, scale=CovariateScale.UNIFORM01):
@@ -31,6 +31,24 @@ def config_of(gamma, copula=None, scale=CovariateScale.UNIFORM01):
 
 
 ZERO_GAMMA = np.zeros((4, 2))
+
+
+def softmax_rows(config, x, y):
+    """Oracle: the point-major softmax, one row of four patterns per point,
+    reducing along the last axis."""
+    xx = np.asarray(x, dtype=float)
+    yy = np.asarray(y, dtype=float)
+    logits = (xx[..., None] * config.gamma[:, 0]
+              + yy[..., None] * config.gamma[:, 1])
+    logits -= logits.max(axis=-1, keepdims=True)
+    weights = np.exp(logits)
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
+def assert_same_bits(pattern_major, oracle):
+    expected = np.moveaxis(oracle, -1, 0)
+    assert pattern_major.shape == expected.shape
+    assert pattern_major.tobytes() == expected.tobytes()
 
 
 class TestPropensity:
@@ -61,8 +79,8 @@ class TestPropensity:
         rng = np.random.default_rng(1)
         config = SCENARIOS["P1"].config()
         p = propensity(config, rng.random(1000), rng.random(1000))
-        assert p.shape == (1000, 4)
-        assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-12
+        assert p.shape == (4, 1000)
+        assert np.max(np.abs(p.sum(axis=0) - 1.0)) < 1e-12
         assert p.min() > 0.0
 
     def test_gamma_shape_validation(self):
@@ -70,6 +88,51 @@ class TestPropensity:
             config_of(np.zeros((3, 2)))
         with pytest.raises(ValueError):
             config_of(np.full((4, 2), np.inf))
+
+
+class TestPropensityBits:
+    """The pattern-major propensity is the point-major softmax transposed, bit for bit."""
+
+    @pytest.mark.parametrize("scale", list(CovariateScale))
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_scenarios(self, name, scale):
+        config = SCENARIOS[name].config(scale)
+        uv = _sample_with(_rng_for(3, 0), config.copula, 50_000)
+        x, y = _covariates(uv[:, 0], uv[:, 1], scale)
+        assert_same_bits(propensity(config, x, y), softmax_rows(config, x, y))
+
+    def test_random_gamma_up_to_1000(self):
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            bound = 10.0 ** rng.uniform(-1.0, 3.0)
+            config = config_of(rng.uniform(-bound, bound, size=(4, 2)))
+            x, y = 3.0 * rng.standard_normal(20_001), rng.random(20_001)
+            assert_same_bits(propensity(config, x, y), softmax_rows(config, x, y))
+
+    def test_overflow_case(self):
+        config = config_of([[1e6, 1e6], [-1e6, -1e6], [-1e6, -1e6], [-1e6, -1e6]])
+        x = np.random.default_rng(9).standard_normal(1000)
+        assert_same_bits(propensity(config, x, -x), softmax_rows(config, x, -x))
+
+    def test_scalar_1d_and_2d_inputs(self):
+        config = config_of([[1.0, 0.5], [-0.8, 0.3], [0.4, -1.1], [0.6, 0.9]])
+        rng = np.random.default_rng(10)
+        for shape in ((), (1,), (257,), (13, 7)):
+            x, y = rng.standard_normal(shape), rng.standard_normal(shape)
+            assert_same_bits(propensity(config, x, y), softmax_rows(config, x, y))
+        assert_same_bits(propensity(config, 0.25, -2.0), softmax_rows(config, 0.25, -2.0))
+
+    def test_draw_block_thresholds_the_oracle_cumsum(self):
+        for scale in CovariateScale:
+            config = SCENARIOS["P2"].config(scale)
+            uv, x, y, z = _draw_block(config, 5, 1, 30_000)
+            # the block's stream: its latent pairs, then one uniform per draw
+            rng = _rng_for(5, 1)
+            _sample_with(rng, config.copula, 30_000)
+            t = rng.random(30_000)
+            cum = np.cumsum(softmax_rows(config, x, y), axis=1)
+            expected = 1 + (t[:, None] > cum[:, :3]).sum(axis=1)
+            assert np.array_equal(z, expected)
 
 
 class TestScenarios:
@@ -177,7 +240,7 @@ class TestBayesConsistency:
         for pattern in (1, 2, 3, 4):
             mask = z == pattern
             observed, _, _ = np.histogram2d(u[mask], v[mask], bins=(edges, edges))
-            weights = pi_ref[:, pattern - 1]
+            weights = pi_ref[pattern - 1]
             expected, _, _ = np.histogram2d(ref[:, 0], ref[:, 1],
                                             bins=(edges, edges), weights=weights)
             expected *= n / weights.size

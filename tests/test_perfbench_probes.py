@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from taubounds import true_tau
+from taubounds import mgp, true_tau
 from taubounds.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -49,6 +49,26 @@ def test_every_probe_target_resolves(workloads):
     workloads.install_probes(tracer)
     assert "taubounds.estimator.summarize" in tracer.targets
     assert "taubounds.cli.read_csv" in tracer.targets
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mgp.population_bounds_quadrature("P3", [0.25]),
+    lambda: mgp.population_bounds_sweep("P3", [0.25], draws=10_000),
+    lambda: mgp.simulate_dataset(mgp.SCENARIOS["P3"].config(), 100, seed=0),
+], ids=["population_bounds_quadrature", "population_bounds_sweep", "simulate_dataset"])
+def test_engines_call_propensity_by_module_name(monkeypatch, call):
+    # the traced mgp.propensity_ms_per_block reads 0 if an engine calls a
+    # copy of the function that rebinding mgp.propensity does not reach
+    calls = []
+    original = mgp.propensity
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mgp, "propensity", counted)
+    call()
+    assert calls and min(calls) > 0
 
 
 def test_population_checks_pass(workloads, tmp_path):
