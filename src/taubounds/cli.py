@@ -2,7 +2,7 @@
 the bundled scenario results.
 
 Exit codes: 0 success, 1 I/O failure, 2 validation failure. Every output is
-a pure function of the flags and the seed, independent of the worker count.
+a pure function of the flags and the seed.
 Population bounds (``reproduce``, ``simulate --bounds-output``) come from
 the quadrature engine and depend on no seed at all.
 """
@@ -14,7 +14,6 @@ import csv
 import functools
 import importlib.resources
 import json
-import os
 import sys
 
 import jsonschema
@@ -40,13 +39,6 @@ _SCALES = {
     "uniform01": CovariateScale.UNIFORM01,
     "normal-score": CovariateScale.NORMAL_SCORE,
 }
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("TAUBOUNDS_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def _dump_json(obj, path=None) -> None:
@@ -186,7 +178,7 @@ def _bounds_payload(pb) -> dict:
 
 def _cmd_simulate(args) -> int:
     config = _config_from_args(args)
-    dataset = simulate_dataset(config, args.n, args.seed, workers=args.workers)
+    dataset = simulate_dataset(config, args.n, args.seed)
     write_csv(dataset, args.output)
     counts = dataset.pattern_counts()
     print(f"wrote {len(dataset)} records to {args.output} "
@@ -308,7 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--covariate-scale", choices=sorted(_SCALES), default="uniform01")
     ps.add_argument("--n", type=int, required=True)
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--workers", type=int, default=_default_workers())
+    # accepted and ignored, so that older command lines still run: the blocks
+    # are drawn one after another
+    ps.add_argument("--workers", type=int, default=None, help=argparse.SUPPRESS)
     ps.add_argument("--output", required=True, help="CSV path for the dataset")
     ps.add_argument("--bounds-output", default=None,
                     help="also write the population bound report here")

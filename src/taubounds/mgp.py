@@ -16,8 +16,8 @@ the quadrature against). Kendall's tau and the median-quadrant probability
 of the latent copula are closed forms.
 
 All sampling is performed in fixed-size blocks with counter-based
-substreams keyed by (seed, block index), so results are bit-identical for
-any worker count.
+substreams keyed by (seed, block index), drawn and reduced one block after
+another in block order.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import enum
 import functools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,14 +202,9 @@ def _covariates(u: np.ndarray, v: np.ndarray,
     return special.ndtri(np.clip(u, lo, hi)), special.ndtri(np.clip(v, lo, hi))
 
 
-def _run_blocks(task, total: int, workers: int) -> list:
+def _run_blocks(task, total: int) -> list:
     """Apply ``task(block_index, size)`` to every block; results in block order."""
-    sizes = _block_sizes(total)
-    if workers <= 1:
-        return [task(i, m) for i, m in enumerate(sizes)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(task, i, m) for i, m in enumerate(sizes)]
-        return [f.result() for f in futures]
+    return [task(i, m) for i, m in enumerate(_block_sizes(total))]
 
 
 def _draw_block(config: MgpConfig, seed: int, index: int, size: int):
@@ -227,10 +221,10 @@ def _draw_block(config: MgpConfig, seed: int, index: int, size: int):
     return uv, x, y, z
 
 
-def simulate_dataset(config: MgpConfig, n: int, seed: int, workers: int = 1) -> Dataset:
+def simulate_dataset(config: MgpConfig, n: int, seed: int) -> Dataset:
     """Simulate ``n`` records; masking follows the drawn pattern.
 
-    Deterministic per (config, n, seed) for any worker count.
+    Deterministic per (config, n, seed).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -241,7 +235,7 @@ def simulate_dataset(config: MgpConfig, n: int, seed: int, workers: int = 1) -> 
         y = np.where((z == 1) | (z == 3), y, np.nan)
         return x, y
 
-    parts = _run_blocks(task, int(n), workers)
+    parts = _run_blocks(task, int(n))
     return Dataset(np.concatenate([p[0] for p in parts]),
                    np.concatenate([p[1] for p in parts]))
 
@@ -249,7 +243,7 @@ def simulate_dataset(config: MgpConfig, n: int, seed: int, workers: int = 1) -> 
 def _simulate_latent(config: MgpConfig, n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unmasked draws (u, v, z) of :func:`simulate_dataset`'s stream."""
     parts = _run_blocks(lambda index, size: _draw_block(config, seed, index, size),
-                        int(n), 1)
+                        int(n))
     return (np.concatenate([p[0][:, 0] for p in parts]),
             np.concatenate([p[0][:, 1] for p in parts]),
             np.concatenate([p[3] for p in parts]))
@@ -354,7 +348,6 @@ def population_bounds_sweep(
     thetas,
     draws: int = 10_000_000,
     seed: int = 0,
-    workers: int = 1,
     covariate_scale: CovariateScale = CovariateScale.UNIFORM01,
     warn_on_theta_mismatch: bool = True,
 ) -> list[PopulationBounds]:
@@ -376,7 +369,7 @@ def population_bounds_sweep(
         cols = np.ascontiguousarray(_integrands(config, thetas, uv[:, 0], uv[:, 1]).T)
         return cols.sum(axis=0), (cols * cols).sum(axis=0)
 
-    parts = _run_blocks(task, int(draws), workers)
+    parts = _run_blocks(task, int(draws))
     total = np.sum([p[0] for p in parts], axis=0)
     total_sq = np.sum([p[1] for p in parts], axis=0)
     n = float(draws)
@@ -392,7 +385,7 @@ def population_bounds(
     theta: float | None = None,
     draws: int = 10_000_000,
     seed: int = 0,
-    workers: int = 1,
+    workers=None,
     covariate_scale: CovariateScale = CovariateScale.UNIFORM01,
     warn_on_theta_mismatch: bool = True,
 ) -> PopulationBounds:
@@ -400,11 +393,11 @@ def population_bounds(
 
     Estimates carry Monte Carlo standard errors computed from the per-draw
     integrands, which captures the covariance between the terms of the
-    affine formulas exactly.
+    affine formulas exactly. ``workers`` is accepted and ignored.
     """
     thetas = [] if theta is None else [theta]
     return population_bounds_sweep(
-        config_or_name, thetas, draws=draws, seed=seed, workers=workers,
+        config_or_name, thetas, draws=draws, seed=seed,
         covariate_scale=covariate_scale,
         warn_on_theta_mismatch=warn_on_theta_mismatch)[0]
 

@@ -199,8 +199,8 @@ def test_criterion_6_plug_in_consistency():
 
 
 def test_criterion_7_determinism(tmp_path):
-    """simulate and reproduce outputs are byte-identical across repeats and
-    across worker counts 1 and 8."""
+    """simulate and reproduce outputs are byte-identical across repeats; the
+    ignored --workers flag (1 or 8) changes no byte."""
     paths = [tmp_path / name for name in
              ("s1.csv", "s1b.csv", "s8.csv", "r1.json", "r8.json")]
     for path, workers in zip(paths[:3], ("1", "1", "8")):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -255,22 +256,31 @@ class TestReproduceCommand:
         assert payload["P1"]["gamma"] == [[2.0, 2.0], [-5.0, 0.25],
                                           [5.0, -0.25], [-5.0, -5.0]]
 
-    def test_sampling_flags_change_nothing(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, extras, hidden", [
+        (["reproduce"],
+         ([], ["--draws", "100"], ["--draws", "2000000", "--seed", "9", "--workers", "2"],
+          ["--seed", "-3"]),
+         ("--draws", "--seed", "--workers")),
+        (["simulate", "--scenario", "P2", "--n", "5000", "--seed", "3"],
+         ([], ["--workers", "2"], ["--workers", "8"]),
+         ("--workers",)),
+    ], ids=["reproduce", "simulate"])
+    def test_sampling_flags_change_nothing(self, tmp_path, capsys, command, extras, hidden):
         outputs = []
-        for extra in ([], ["--draws", "100"], ["--draws", "2000000", "--seed", "9",
-                                               "--workers", "2"], ["--seed", "-3"]):
-            path = tmp_path / f"r{len(outputs)}.json"
-            assert run_cli("reproduce", *extra, "--output", str(path)) == 0
+        for extra in extras:
+            path = tmp_path / f"out{len(outputs)}"
+            assert run_cli(*command, *extra, "--output", str(path)) == 0
             outputs.append(path.read_bytes())
         assert len(set(outputs)) == 1
-        payload = json.loads(outputs[0])
-        assert payload["engine"] == "quadrature"
-        assert "draws" not in payload and "seed" not in payload
+        if command[0] == "reproduce":
+            payload = json.loads(outputs[0])
+            assert payload["engine"] == "quadrature"
+            assert "draws" not in payload and "seed" not in payload
         capsys.readouterr()
         with pytest.raises(SystemExit):
-            main(["reproduce", "--help"])
+            main([command[0], "--help"])
         usage = capsys.readouterr().out
-        assert not any(flag in usage for flag in ("--draws", "--seed", "--workers"))
+        assert not any(flag in usage for flag in hidden)
 
 
 class TestCsvRoundTrip:
@@ -314,17 +324,12 @@ class TestParser:
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "m.csv"
+        # the child imports the package the suite imported, wherever that is
+        source = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(p for p in (source, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "taubounds", "simulate", "--scenario", "P3",
              "--n", "50", "--seed", "1", "--output", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert out.exists()
-
-    def test_worker_env_default(self, monkeypatch):
-        from taubounds.cli import _default_workers
-
-        monkeypatch.setenv("TAUBOUNDS_WORKERS", "6")
-        assert _default_workers() == 6
-        monkeypatch.setenv("TAUBOUNDS_WORKERS", "junk")
-        assert _default_workers() == 1

@@ -192,10 +192,11 @@ class TestSimulateDataset:
         assert np.array_equal(ds.x[x_seen], u[x_seen])
         assert np.array_equal(ds.y[y_seen], v[y_seen])
 
-    def test_worker_independence(self):
+    def test_same_seed_repeats(self):
         config = SCENARIOS["P2"].config()
-        a = simulate_dataset(config, 300_000, seed=5, workers=1)
-        b = simulate_dataset(config, 300_000, seed=5, workers=8)
+        n = BLOCK_SIZE + 1000  # two blocks
+        a = simulate_dataset(config, n, seed=5)
+        b = simulate_dataset(config, n, seed=5)
         assert np.array_equal(a.x, b.x, equal_nan=True)
         assert np.array_equal(a.y, b.y, equal_nan=True)
         assert np.array_equal(a.z, b.z)
@@ -273,9 +274,11 @@ class TestPopulationBounds:
         assert not [w for w in recwarn if issubclass(w.category, ThetaMismatchWarning)]
 
     def test_worker_independence(self):
-        a = population_bounds("P2", theta=0.4, draws=600_000, seed=3, workers=1,
+        # a same-seed repeat over three blocks; workers is accepted and ignored
+        draws = 2 * BLOCK_SIZE + 1000
+        a = population_bounds("P2", theta=0.4, draws=draws, seed=3,
                               warn_on_theta_mismatch=False)
-        b = population_bounds("P2", theta=0.4, draws=600_000, seed=3, workers=8,
+        b = population_bounds("P2", theta=0.4, draws=draws, seed=3, workers=8,
                               warn_on_theta_mismatch=False)
         assert a.worst_case == b.worst_case
         assert a.refined == b.refined

@@ -75,7 +75,7 @@ def test_agrees_with_monte_carlo_at_extreme_rho(scale):
                                scale)
             thetas = (0.0, median_joint_prob(config), 0.25, 0.5)
             mc = population_bounds_sweep(config, thetas, draws=1_000_000, seed=seed,
-                                         workers=2, warn_on_theta_mismatch=False)
+                                         warn_on_theta_mismatch=False)
             quad = population_bounds_quadrature(config, thetas, warn_on_theta_mismatch=False)
             pairs += _endpoint_pairs(quad, mc)
     _check_agreement(pairs)
