@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import clip, decide
+from .copulas import check_theta
 from .data import read_csv, write_csv
 from .errors import TauBoundsError
 from .estimator import CdfTable, MarginMode, analyze
@@ -177,6 +178,9 @@ def _bounds_payload(pb) -> dict:
 
 
 def _cmd_simulate(args) -> int:
+    # checked before anything is written, with or without --bounds-output
+    if args.theta is not None:
+        check_theta(args.theta)
     config = _config_from_args(args)
     dataset = simulate_dataset(config, args.n, args.seed)
     write_csv(dataset, args.output)
@@ -196,6 +200,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    if args.theta is not None:
+        check_theta(args.theta)
     if args.export_scenarios is not None:
         _dump_json(scenario_manifest(), args.export_scenarios)
 

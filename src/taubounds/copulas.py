@@ -12,6 +12,9 @@ probability of both variables falling below their medians is known to be
 Expectations of supermodular integrands over the set of all copulas are
 extremised at the envelope copulas; :func:`extremal_expectation` evaluates
 those extremes by one-dimensional quadrature along the (anti)diagonal.
+
+scipy is imported by the functions that call it, not at module level, so
+that ``analyze`` never loads it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import DomainError, QuadratureError
 
@@ -148,6 +150,8 @@ def _sample_with(rng: np.random.Generator, spec: CopulaSpec, count: int) -> np.n
         return np.column_stack((t, 1.0 - t))
     if spec.kind is CopulaKind.INDEPENDENCE:
         return rng.random((count, 2))
+    from scipy import special
+
     z = rng.standard_normal((count, 2))
     w = spec.rho * z[:, 0] + np.sqrt(1.0 - spec.rho * spec.rho) * z[:, 1]
     return np.column_stack((special.ndtr(z[:, 0]), special.ndtr(w)))
@@ -218,6 +222,8 @@ def extremal_expectation(
     else:
         def g(t):
             return integrand(t, 1.0 - t)
+
+    from scipy import integrate
 
     pts = [p for p in breakpoints if 0.0 < p < 1.0]
     result = integrate.quad(g, 0.0, 1.0, epsabs=tol / 10.0, epsrel=1e-12,

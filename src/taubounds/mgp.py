@@ -18,6 +18,9 @@ of the latent copula are closed forms.
 All sampling is performed in fixed-size blocks with counter-based
 substreams keyed by (seed, block index), drawn and reduced one block after
 another in block order.
+
+scipy is imported by the functions that call it, not at module level, so
+that ``analyze`` never loads it.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .bounds import Decision, IntervalKind, TauInterval, _integrands as _bound_integrands
 # kendall_tau and the constrained surfaces are not called here (bounds._integrands
@@ -197,6 +199,8 @@ def _covariates(u: np.ndarray, v: np.ndarray,
                 scale: CovariateScale) -> tuple[np.ndarray, np.ndarray]:
     if scale is CovariateScale.UNIFORM01:
         return u, v
+    from scipy import special
+
     # clip keeps the normal scores finite for u rounded to exactly 0 or 1
     lo, hi = 1e-300, 1.0 - 1e-16
     return special.ndtri(np.clip(u, lo, hi)), special.ndtri(np.clip(v, lo, hi))
@@ -467,6 +471,8 @@ def _outer_cuts(thetas: list[float]) -> np.ndarray:
 def _z_edges(thetas: list[float], rho: float) -> np.ndarray:
     """The initial strip edges in z: the outer cuts, graded towards the
     ridge crossings when the ridge is narrow (see ``_RIDGE``)."""
+    from scipy import special
+
     u = _outer_cuts(thetas)
     s = math.sqrt(1.0 - rho * rho)
     steps = np.zeros(1)
@@ -513,6 +519,8 @@ def _strip_sums(config: MgpConfig, thetas: list[float], a: np.ndarray, b: np.nda
     where v crosses an inner cut, each panel into ``split`` equal pieces
     (per strip), and each piece gets ``inner`` nodes. One row per strip.
     """
+    from scipy import special
+
     rho = _latent_rho(config.copula)
     s = math.sqrt(1.0 - rho * rho)
     panels = _w_panels(thetas)

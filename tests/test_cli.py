@@ -20,6 +20,22 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def run_child(*argv):
+    """Run ``python argv...`` in a fresh interpreter and return its stdout;
+    fails the test on a nonzero exit.
+
+    The child imports the package the suite imported: its source directory
+    goes first on ``PYTHONPATH``, then the caller's, as pytest's
+    ``pythonpath`` setting does not reach child processes.
+    """
+    source = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(p for p in (source, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestAnalyzeCommand:
     def test_report_round_trip(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
@@ -283,6 +299,19 @@ class TestReproduceCommand:
         assert not any(flag in usage for flag in hidden)
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--rho", "0.5", "--n", "10", "--output", "y.csv", "--theta", "0.6"],
+    ["simulate", "--rho", "0.5", "--n", "10", "--output", "y.csv",
+     "--bounds-output", "b.json", "--theta", "0.6"],
+    ["reproduce", "--theta", "0.7", "--export-scenarios", "m.json"],
+], ids=["simulate", "simulate-bounds-output", "reproduce"])
+def test_invalid_theta_writes_nothing(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 2
+    assert "theta must lie in [0, 0.5]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestCsvRoundTrip:
     def test_missing_cells(self, tmp_path):
         ds = Dataset.from_records([(0.25, 0.5), (0.75, None), (None, 0.125),
@@ -324,12 +353,57 @@ class TestParser:
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "m.csv"
-        # the child imports the package the suite imported, wherever that is
-        source = str(Path(cli.__file__).parents[1])
-        path = os.pathsep.join(p for p in (source, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "taubounds", "simulate", "--scenario", "P3",
-             "--n", "50", "--seed", "1", "--output", str(out)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
-        assert proc.returncode == 0
+        run_child("-m", "taubounds", "simulate", "--scenario", "P3",
+                  "--n", "50", "--seed", "1", "--output", str(out))
         assert out.exists()
+
+
+# the scipy modules an interpreter has loaded, as a Python expression
+_SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+class TestColdStart:
+    """scipy is loaded only by the functions that call it."""
+
+    def test_parser_loads_no_scipy(self):
+        code = ("import sys, taubounds, taubounds.cli\n"
+                f"taubounds.cli.build_parser()\nprint({_SCIPY_LOADED})")
+        assert run_child("-c", code) == "[]\n"
+
+    def test_analyze_loads_no_scipy(self, tmp_path):
+        data = tmp_path / "data.csv"
+        rng = np.random.default_rng(8)
+        x, y = rng.random(300), rng.random(300)
+        x[rng.random(300) < 0.3] = math.nan
+        y[rng.random(300) < 0.3] = math.nan
+        write_csv(Dataset(x, y), data)
+        table = tmp_path / "uniform.csv"
+        table.write_text("value,cdf\n0.0,0.0\n1.0,1.0\n", encoding="utf-8")
+        margins = (["--margins", "uniform01", "--theta", "0.4"],
+                   ["--margins", "unknown"],
+                   ["--margins", "from-file", "--x-cdf", str(table), "--y-cdf", str(table),
+                    "--theta", "0.3"])
+        calls = [["analyze", "--input", str(data), *m, "--format", f]
+                 for m in margins for f in ("plain", "json")]
+        code = ("import contextlib, io, json, sys\n"
+                "from taubounds.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+                f"print(codes, {_SCIPY_LOADED})")
+        # every call exits 0 and none loads scipy
+        assert run_child("-c", code, json.dumps(calls)) == f"{[0] * len(calls)} []\n"
+
+    def test_cold_runs_write_what_warm_ones_do(self, tmp_path, capsys):
+        commands = (["simulate", "--scenario", "P2", "--n", "3000", "--seed", "3",
+                     "--covariate-scale", "normal-score", "--theta", "0.4",
+                     "--output", "{}/d.csv", "--bounds-output", "{}/b.json"],
+                    ["reproduce", "--output", "{}/r.json"])
+        cold, warm = tmp_path / "cold", tmp_path / "warm"
+        cold.mkdir()
+        warm.mkdir()
+        for command in commands:
+            run_child("-m", "taubounds", *(a.format(cold) for a in command))
+            assert run_cli(*(a.format(warm) for a in command)) == 0
+        capsys.readouterr()
+        for name in ("d.csv", "b.json", "r.json"):
+            assert (cold / name).read_bytes() == (warm / name).read_bytes()
