@@ -15,6 +15,7 @@ import functools
 import importlib.resources
 import json
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -336,10 +337,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call and then kept."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command; returns its exit code (0 success, 1 I/O failure,
+    2 validation failure).
+
+    Argparse usage errors, ``--help`` and ``--version`` raise ``SystemExit``
+    instead. The parser is built on the first call and kept for the rest of
+    the process. Each call reports its own warnings: Python otherwise shows
+    a warning only once per code location and process.
+    """
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # entering resets the shown-once registry; the caller's filters apply
+        with warnings.catch_warnings():
+            return args.func(args)
     except (TauBoundsError, ValueError, KeyError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

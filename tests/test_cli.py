@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import jsonschema
 import numpy as np
@@ -356,6 +357,96 @@ class TestParser:
         run_child("-m", "taubounds", "simulate", "--scenario", "P3",
                   "--n", "50", "--seed", "1", "--output", str(out))
         assert out.exists()
+
+
+class TestRepeatedCalls:
+    """Many ``main`` calls in one process: the parser is built once, and no
+    call sees the options, outputs or warnings of another."""
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        path = tmp_path / "data.csv"
+        run_cli("simulate", "--scenario", "P3", "--n", "300", "--seed", "4",
+                "--output", str(path))
+        return path
+
+    def test_parser_built_once(self, data, capsys):
+        cli._parser.cache_clear()
+        with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as built:
+            for _ in range(20):
+                assert run_cli("analyze", "--input", str(data), "--format", "json") == 0
+        assert built.call_count == 1
+        capsys.readouterr()
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_theta_does_not_carry_over(self, data, capsys):
+        capsys.readouterr()
+        base = ("analyze", "--input", str(data), "--format", "json")
+        assert run_cli(*base, "--theta", "0.4") == 0
+        assert json.loads(capsys.readouterr().out)["theta"] == 0.4
+        assert run_cli(*base) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["theta"] is None and payload["refined"] is None
+
+    def test_margins_do_not_carry_over(self, data, tmp_path, capsys):
+        table = tmp_path / "uniform.csv"
+        table.write_text("value,cdf\n0.0,0.0\n1.0,1.0\n", encoding="utf-8")
+        capsys.readouterr()
+        base = ("analyze", "--input", str(data), "--format", "json")
+        assert run_cli(*base, "--margins", "from-file",
+                       "--x-cdf", str(table), "--y-cdf", str(table)) == 0
+        assert json.loads(capsys.readouterr().out)["margins_mode"] == "from_file"
+        assert run_cli(*base, "--margins", "unknown") == 0
+        assert json.loads(capsys.readouterr().out)["margins_mode"] == "unknown"
+
+    def test_bounds_output_does_not_carry_over(self, tmp_path, capsys):
+        base = ("simulate", "--scenario", "P3", "--n", "50", "--seed", "1")
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.mkdir()
+        second.mkdir()
+        assert run_cli(*base, "--output", str(first / "d.csv"),
+                       "--bounds-output", str(first / "b.json"), "--theta", "0.4") == 0
+        assert run_cli(*base, "--output", str(second / "d.csv")) == 0
+        assert sorted(p.name for p in first.iterdir()) == ["b.json", "d.csv"]
+        assert [p.name for p in second.iterdir()] == ["d.csv"]
+        assert capsys.readouterr().out.count("population bounds written") == 1
+
+    def test_rejected_call_leaves_no_trace(self, data, capsys):
+        argv = ("analyze", "--input", str(data), "--theta", "0.3", "--format", "json")
+        capsys.readouterr()
+        assert run_cli(*argv) == 0
+        before = capsys.readouterr().out
+        with pytest.raises(SystemExit) as err:
+            main(["analyze", "--input", str(data), "--margins", "bogus"])
+        assert err.value.code == 2
+        capsys.readouterr()
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out == before
+
+    def test_each_call_reports_its_warnings(self, tmp_path):
+        # in a fresh interpreter: pytest installs warning filters of its own
+        paths = []
+        for k in range(3):
+            path = tmp_path / f"tied{k}.csv"
+            path.write_text(f"x,y\n0.{k}1,0.2\n0.{k}1,0.5\n0.7,\n,0.4\n0.9,0.8\n",
+                            encoding="utf-8")
+            paths.append(str(path))
+        code = ("import contextlib, io, json, sys, warnings\n"
+                "from taubounds.cli import main\n"
+                "def warned():\n"
+                "    err = io.StringIO()\n"
+                "    with contextlib.redirect_stdout(io.StringIO()), "
+                "contextlib.redirect_stderr(err):\n"
+                "        for path in json.loads(sys.argv[1]):\n"
+                "            assert main(['analyze', '--input', path]) == 0\n"
+                "    return err.getvalue().count('TiedDataWarning')\n"
+                "shown = warned()\n"
+                "warnings.simplefilter('ignore')\n"
+                "print(shown, warned())")
+        # one warning per call, and the caller's ignore filter still holds
+        assert run_child("-c", code, json.dumps(paths)) == "3 0\n"
 
 
 # the scipy modules an interpreter has loaded, as a Python expression
