@@ -86,9 +86,6 @@ class TauInterval:
         if self.clipped and (self.lower < -1.0 or self.upper > 1.0):
             raise InvalidSummaryError("clipped interval must lie inside [-1, 1]")
 
-    def width(self) -> float:
-        return self.upper - self.lower
-
 
 def _check_moment(name: str, value, p: float):
     if p == 0.0:

@@ -77,6 +77,9 @@ def _validated_report(report) -> dict:
 
 
 def _margins_from_args(args) -> MarginMode:
+    if args.margins != "from-file" and (args.x_cdf, args.y_cdf) != (None, None):
+        raise ValueError("--x-cdf and --y-cdf are used only with --margins from-file, "
+                         f"not with --margins {args.margins}")
     if args.margins == "uniform01":
         return MarginMode.uniform01()
     if args.margins == "unknown":

@@ -22,10 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# marginal_cdf_bounds and constrained_* are not called here; the
+# benchmark's traced run rebinds them
 from .bounds import (
     Decision,
     DistSummary,
-    SteppedCdfBounds,
     TauInterval,
     ThetaSummary,
     _plug_in,
@@ -33,11 +34,10 @@ from .bounds import (
     clip,
     decide,
     envelope_summary,
-    marginal_cdf_bounds,
+    marginal_cdf_bounds,  # noqa: F401
     refined,
     worst_case,
 )
-# constrained_* are not called here; the benchmark's traced run rebinds them
 from .copulas import check_theta, constrained_lower, constrained_upper  # noqa: F401
 from .data import as_dataset
 from .errors import MarginTableError, UnsupportedAnalysisError
@@ -199,7 +199,6 @@ class AnalysisReport:
     pattern_counts: tuple[int, int, int, int]
     p_hat: tuple[float, float, float, float]
     summary: DistSummary | ThetaSummary
-    cdf_bounds: SteppedCdfBounds | None
     worst_case_raw: TauInterval
     worst_case_clipped: TauInterval
     refined_raw: TauInterval | None
@@ -259,14 +258,12 @@ def analyze(records, margins: MarginMode, theta: float | None = None,
     ds = as_dataset(records)
     n = len(ds)
 
-    cdf_bounds = None
     refined_raw = refined_clipped = None
     if margins.kind is MarginKind.UNKNOWN:
         if theta is not None:
             raise UnsupportedAnalysisError(
                 "theta-refined bounds are defined only under known margins")
         summary = envelope_summary(ds)
-        cdf_bounds = marginal_cdf_bounds(ds)  # second: envelope_summary's arrays are freed
         wc_raw = worst_case(summary)
     else:
         summary = summarize(ds, margins, theta)
@@ -284,7 +281,6 @@ def analyze(records, margins: MarginMode, theta: float | None = None,
         pattern_counts=tuple(int(c) for c in counts),
         p_hat=tuple(counts / n),
         summary=summary,
-        cdf_bounds=cdf_bounds,
         worst_case_raw=wc_raw,
         worst_case_clipped=wc_clipped,
         refined_raw=refined_raw,

@@ -176,12 +176,10 @@ def scenario_manifest() -> dict:
     }
 
 
-def _as_config(config_or_name, covariate_scale=CovariateScale.UNIFORM01) -> MgpConfig:
+def _as_config(config_or_name) -> MgpConfig:
     if isinstance(config_or_name, MgpConfig):
         return config_or_name
-    if isinstance(config_or_name, Scenario):
-        return config_or_name.config(covariate_scale)
-    return SCENARIOS[str(config_or_name)].config(covariate_scale)
+    return SCENARIOS[str(config_or_name)].config()
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +315,9 @@ def _assemble(thetas: list[float], mean: np.ndarray, err: np.ndarray, warn: bool
     theta_hat = float(mean[-1])
     theta_hat_se = float(err[-1])
     out = []
-    for j, th in enumerate(thetas):
-        if warn and abs(th - theta_hat) > 3.0 * max(theta_hat_se, _THETA_MATCH_FLOOR):
+    for j, th in enumerate(thetas or [None]):
+        if warn and th is not None \
+                and abs(th - theta_hat) > 3.0 * max(theta_hat_se, _THETA_MATCH_FLOOR):
             warnings.warn(
                 f"supplied theta={th} differs from the configuration's "
                 f"median-quadrant probability {theta_hat:.4f} "
@@ -327,7 +326,8 @@ def _assemble(thetas: list[float], mean: np.ndarray, err: np.ndarray, warn: bool
                 ThetaMismatchWarning, stacklevel=3)
         out.append(PopulationBounds(
             worst_case=wc,
-            refined=interval(2 + 2 * j, 3 + 2 * j, IntervalKind.REFINED),
+            refined=(None if th is None
+                     else interval(2 + 2 * j, 3 + 2 * j, IntervalKind.REFINED)),
             p_z=mean[-5:-1].copy(),
             p_z_se=err[-5:-1].copy(),
             theta=th,
@@ -337,9 +337,6 @@ def _assemble(thetas: list[float], mean: np.ndarray, err: np.ndarray, warn: bool
             seed=seed,
             engine=engine,
         ))
-    if not thetas:
-        out.append(PopulationBounds(wc, None, mean[-5:-1].copy(), err[-5:-1].copy(),
-                                    None, theta_hat, theta_hat_se, draws, seed, engine))
     return out
 
 
@@ -352,7 +349,6 @@ def population_bounds_sweep(
     thetas,
     draws: int = 10_000_000,
     seed: int = 0,
-    covariate_scale: CovariateScale = CovariateScale.UNIFORM01,
     warn_on_theta_mismatch: bool = True,
 ) -> list[PopulationBounds]:
     """Monte Carlo population bounds for several theta values from one set of draws.
@@ -361,7 +357,7 @@ def population_bounds_sweep(
     worst-case interval, and their monotonicity in theta, hold exactly
     rather than up to Monte Carlo noise.
     """
-    config = _as_config(config_or_name, covariate_scale)
+    config = _as_config(config_or_name)
     thetas = [check_theta(t) for t in thetas]
     if draws < 10_000:
         raise ValueError(f"draws must be >= 10^4, got {draws}")
@@ -390,7 +386,6 @@ def population_bounds(
     draws: int = 10_000_000,
     seed: int = 0,
     workers=None,
-    covariate_scale: CovariateScale = CovariateScale.UNIFORM01,
     warn_on_theta_mismatch: bool = True,
 ) -> PopulationBounds:
     """Monte Carlo population worst-case and (when theta is given) refined bound values.
@@ -402,7 +397,6 @@ def population_bounds(
     thetas = [] if theta is None else [theta]
     return population_bounds_sweep(
         config_or_name, thetas, draws=draws, seed=seed,
-        covariate_scale=covariate_scale,
         warn_on_theta_mismatch=warn_on_theta_mismatch)[0]
 
 
@@ -624,7 +618,6 @@ def _quadrature(config: MgpConfig, thetas: list[float]):
 def population_bounds_quadrature(
     config_or_name,
     thetas=(),
-    covariate_scale: CovariateScale = CovariateScale.UNIFORM01,
     warn_on_theta_mismatch: bool = True,
 ) -> list[PopulationBounds]:
     """Population bounds for several theta values by deterministic quadrature.
@@ -637,7 +630,7 @@ def population_bounds_quadrature(
     Gaussian and independence copulas; raises ``DomainError`` for the
     comonotone and countermonotone kinds.
     """
-    config = _as_config(config_or_name, covariate_scale)
+    config = _as_config(config_or_name)
     thetas = [check_theta(t) for t in thetas]
     mean, err, _ = _quadrature(config, thetas)
     return _assemble(thetas, mean, err, warn_on_theta_mismatch, "quadrature")
@@ -657,12 +650,12 @@ def true_tau(config_or_name, draws=None, seed=None) -> float:
     return 2.0 * math.asin(_latent_rho(_as_config(config_or_name).copula)) / math.pi
 
 
-def median_joint_prob(config_or_name, draws=None, seed=None) -> float:
+def median_joint_prob(config_or_name) -> float:
     """The median-quadrant probability C(1/2, 1/2) of the latent copula.
 
     C(1/2, 1/2) = 1/4 + asin(rho) / (2 pi) for the Gaussian copula (Sheppard
     1899), and so 1/4, 1/2 and 0 for the independence, comonotone and
-    countermonotone kinds. ``draws`` and ``seed`` are accepted and ignored.
+    countermonotone kinds.
     """
     rho = _latent_rho(_as_config(config_or_name).copula)
     return 0.25 + math.asin(rho) / (2.0 * math.pi)

@@ -177,6 +177,26 @@ class TestAnalyzeCommand:
                        "--margins", "from-file") == 2
         assert "--x-cdf" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("margins", ["uniform01", "unknown"])
+    @pytest.mark.parametrize("tables", ["x_missing", "y_missing", "both_valid"])
+    def test_stray_cdf_tables_exit_2(self, tmp_path, capsys, margins, tables):
+        # rejected before any table is opened: a missing table exits 2, not 1
+        table = tmp_path / "uniform.csv"
+        table.write_text("value,cdf\n0.0,0.0\n1.0,1.0\n", encoding="utf-8")
+        missing = str(tmp_path / "missing.csv")
+        flags = {"x_missing": ["--x-cdf", missing],
+                 "y_missing": ["--y-cdf", missing],
+                 "both_valid": ["--x-cdf", str(table), "--y-cdf", str(table)]}[tables]
+        data = tmp_path / "data.csv"
+        data.write_text("x,y\n0.1,0.2\n0.4,0.5\n", encoding="utf-8")
+        out = tmp_path / "report.json"
+        assert run_cli("analyze", "--input", str(data), "--margins", margins,
+                       *flags, "--output", str(out)) == 2
+        captured = capsys.readouterr()
+        assert "--x-cdf" in captured.err and "--y-cdf" in captured.err
+        assert margins in captured.err
+        assert captured.out == "" and not out.exists()
+
 
 class TestSimulateCommand:
     def test_byte_identical_repeats(self, tmp_path):

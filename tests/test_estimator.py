@@ -226,9 +226,12 @@ class TestAnalyze:
 
     def test_unknown_margins_route(self):
         ds = simulate_dataset(SCENARIOS["P3"].config(), 5000, seed=11)
-        report = analyze(ds, MarginMode.unknown())
+        # the report holds no step functions, so none may be built
+        with mock.patch("taubounds.estimator.marginal_cdf_bounds",
+                        side_effect=AssertionError("step functions built")):
+            report = analyze(ds, MarginMode.unknown())
         known = analyze(ds, UNIFORM)
-        assert report.cdf_bounds is not None
+        assert not hasattr(report, "cdf_bounds")
         assert report.refined_raw is None
         assert report.worst_case_raw.lower <= known.worst_case_raw.lower + 1e-12
         assert known.worst_case_raw.upper <= report.worst_case_raw.upper + 1e-12

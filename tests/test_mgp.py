@@ -326,8 +326,8 @@ class TestPopulationBounds:
                                       draws=20_000, seed=9,
                                       warn_on_theta_mismatch=False)
         assert by_name.worst_case == by_config.worst_case
-        normal = population_bounds("P3", theta=0.4, draws=20_000, seed=9,
-                                   covariate_scale=CovariateScale.NORMAL_SCORE,
+        normal = population_bounds(SCENARIOS["P3"].config(CovariateScale.NORMAL_SCORE),
+                                   theta=0.4, draws=20_000, seed=9,
                                    warn_on_theta_mismatch=False)
         assert normal.worst_case != by_name.worst_case
 
@@ -412,7 +412,7 @@ class TestMedianJointProb:
     def test_never_above_half(self):
         for rho in (-0.999, -0.9, 0.0, 0.95, 0.999):
             config = config_of(ZERO_GAMMA, CopulaSpec.gaussian(rho))
-            exact = median_joint_prob(config, draws=100, seed=1)
+            exact = median_joint_prob(config)
             assert 0.0 < exact < 0.5
             estimate = mc_median_joint_prob(config, 200_000, seed=6)
             assert abs(estimate - exact) < 3 * quadrant_se(exact, 200_000)

@@ -5,17 +5,20 @@ rebinding names that its modules imported. A renamed or deleted name would
 otherwise surface only in a traced benchmark run. Likewise its
 ``population`` checks compare ``reproduce`` and ``true_tau`` with
 ``perfbench/reference.json``; an engine change that fails them fails here
-first.
+first. The kernels it times directly and the calls it makes to the package
+are checked by name and signature, without running them.
 """
 
 import importlib.util
+import inspect
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from taubounds import mgp, true_tau
+import taubounds
+from taubounds import concordance, copulas, mgp, true_tau
 from taubounds.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -49,6 +52,24 @@ def test_every_probe_target_resolves(workloads):
     workloads.install_probes(tracer)
     assert "taubounds.estimator.summarize" in tracer.targets
     assert "taubounds.cli.read_csv" in tracer.targets
+
+
+def test_kernel_timing_targets_resolve():
+    # the names kernel_timings and environment_stamp read, without running them
+    for target in (copulas.sample_copula, copulas.constrained_upper,
+                   copulas.constrained_lower, concordance._kernel.discordant_by_merge):
+        assert callable(target)
+    assert isinstance(taubounds.HAVE_COMPILED_KERNEL, bool)
+
+
+def test_perfbench_call_signatures_bind():
+    config = mgp.SCENARIOS["P1"].config(mgp.CovariateScale.NORMAL_SCORE)
+    # make_reference.py's call
+    inspect.signature(mgp.population_bounds).bind(
+        config, theta=0.4, draws=1 << 25, seed=20221017, workers=2,
+        warn_on_theta_mismatch=False)
+    # the population workload's call
+    inspect.signature(mgp.true_tau).bind("P1", draws=1_000_000, seed=1)
 
 
 @pytest.mark.parametrize("call", [
