@@ -204,12 +204,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    # both checked before anything is written
     if args.theta is not None:
         check_theta(args.theta)
+    tolerance = args.tolerance
+    if not (np.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"--tolerance must be a finite number >= 0, got {tolerance!r}")
     if args.export_scenarios is not None:
         _dump_json(scenario_manifest(), args.export_scenarios)
 
-    tolerance = 0.005 if args.strict else args.tolerance
     scales = list(_SCALES.values()) if args.scale == "both" else [_SCALES[args.scale]]
     results = []
     matched = {scale: True for scale in scales}
@@ -331,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--scale", choices=("both", "uniform01", "normal-score"),
                     default="both")
     pr.add_argument("--tolerance", type=float, default=0.02)
-    pr.add_argument("--strict", action="store_true",
-                    help="use the strict tolerance 0.005")
     pr.add_argument("--output", default=None, help="write JSON results here")
     pr.add_argument("--export-scenarios", default=None,
                     help="write the scenario constants manifest here")

@@ -7,14 +7,14 @@ record: 1 = both coordinates observed, 2 = only x, 3 = only y,
 
 CSV dialect: header ``x,y``; a missing cell is an empty string or the
 literal ``NA``; decimal point only; UTF-8, with an optional byte-order
-mark. Files are read and written in chunks of rows; see :func:`read_csv`.
+mark. Files are read one row at a time and written in chunks of rows.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import math
+from array import array
 from collections.abc import Iterable
 
 import numpy as np
@@ -87,12 +87,9 @@ def as_dataset(records) -> Dataset:
     return ds
 
 
-# Rows per chunk, when writing and when reading. Small, so that a chunk's
-# csv.reader rows are freed before the cyclic garbage collector scans them
-# again and again: with 2^16 rows a 10^6-row read took about 1.5x as long.
+# Rows formatted and written per call, so that the text of a large dataset
+# is never held in memory at once.
 _CHUNK_ROWS = 1 << 9
-# The cells read as missing, each mapped to a token ``float`` reads as NaN.
-_MISSING_AS_NAN = {"": "nan", "NA": "nan"}
 
 
 def _format_column(values: np.ndarray) -> list[str]:
@@ -124,14 +121,14 @@ def _parse_cell(token: str, line_number: int, column: str) -> float:
     return value
 
 
-def _parse_rows(rows, line_number: int) -> tuple[list[float], list[float]]:
-    """Row-by-row parse of csv.reader rows, the first numbered ``line_number``.
+def _parse_rows(rows) -> tuple[array, array]:
+    """The x and y columns of the csv.reader rows that follow the header.
 
-    This is the reference reading of the dialect: it raises on the first
-    malformed row, and blank rows are skipped but still numbered.
+    Raises on the first malformed row, numbering the header line 1; blank
+    rows are skipped but still numbered.
     """
-    xs, ys = [], []
-    for line_number, row in enumerate(rows, start=line_number):
+    xs, ys = array("d"), array("d")
+    for line_number, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) != 2:
@@ -141,40 +138,14 @@ def _parse_rows(rows, line_number: int) -> tuple[list[float], list[float]]:
     return xs, ys
 
 
-def _split_rows(rows: list[list[str]]):
-    """The x and y cells of csv.reader rows; None unless every non-blank row has two."""
-    if not set(map(len, rows)) <= {0, 2}:
-        return None
-    cells = list(itertools.chain.from_iterable(rows))
-    return cells[0::2], cells[1::2]
-
-
-def _convert(cells) -> np.ndarray | None:
-    """Float column of cells in one pass; None if a cell needs ``_parse_cell``.
-
-    Exact ``""`` and ``"NA"`` cells are missing. Anything else ``float``
-    rejects, and any non-finite value, sends the chunk to the row-by-row
-    parser, which accepts padded missing cells and reports the rest.
-    """
-    try:
-        values = np.fromiter(map(float, map(_MISSING_AS_NAN.get, cells, cells)),
-                             dtype=float, count=len(cells))
-    except ValueError:
-        return None
-    missing = cells.count("") + cells.count("NA")
-    return values if np.count_nonzero(np.isfinite(values)) + missing == len(cells) else None
-
-
 def read_csv(path) -> Dataset:
     """Read a dataset written in the ``x,y`` dialect.
 
     Raises :class:`CsvFormatError` (with the offending line number) on
-    malformed rows and :class:`EmptyDataError` when no data rows exist.
-    One csv.reader tokenises the file; its rows are converted in bulk,
-    ``_CHUNK_ROWS`` at a time. A chunk that fails is parsed again row by
-    row, which names the first offending line.
+    the first malformed row and :class:`EmptyDataError` when no data rows
+    exist. The columns are parsed into ``array('d')`` buffers, which the
+    returned dataset's arrays share without a copy.
     """
-    xs, ys = [], []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -182,16 +153,7 @@ def read_csv(path) -> Dataset:
             raise EmptyDataError(f"{path}: empty input")
         if [h.strip().lower() for h in header] != ["x", "y"]:
             raise CsvFormatError(1, f"expected header 'x,y', got {','.join(header)!r}")
-        line_number = 2
-        while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
-            x = y = None
-            if (cells := _split_rows(rows)) is not None:
-                x, y = _convert(cells[0]), _convert(cells[1])
-            if x is None or y is None:
-                x, y = (np.asarray(col, dtype=float) for col in _parse_rows(rows, line_number))
-            xs.append(x)
-            ys.append(y)
-            line_number += len(rows)
-    if not any(x.size for x in xs):
+        xs, ys = _parse_rows(reader)
+    if not xs:
         raise EmptyDataError(f"{path}: empty input")
-    return Dataset(np.concatenate(xs), np.concatenate(ys))
+    return Dataset(xs, ys)

@@ -278,11 +278,23 @@ class TestReproduceCommand:
     def test_scale_restriction_and_strict(self, tmp_path):
         out = tmp_path / "r.json"
         assert run_cli("reproduce", "--draws", "20000", "--seed", "1",
-                       "--scale", "uniform01", "--strict",
+                       "--scale", "uniform01", "--tolerance", "0.005",
                        "--output", str(out)) == 0
         payload = json.loads(out.read_text())
         assert payload["tolerance"] == 0.005
         assert {row["covariate_scale"] for row in payload["results"]} == {"uniform01"}
+
+    def test_strict_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "--strict"])
+        assert exc.value.code == 2
+        assert "--strict" in capsys.readouterr().err
+
+    def test_zero_tolerance_is_valid(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run_cli("reproduce", "--scale", "uniform01", "--tolerance", "0",
+                       "--output", str(out)) == 0
+        assert json.loads(out.read_text())["tolerance"] == 0.0
 
     def test_scenario_manifest_export(self, tmp_path):
         manifest = tmp_path / "scenarios.json"
@@ -330,6 +342,15 @@ def test_invalid_theta_writes_nothing(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert run_cli(*argv) == 2
     assert "theta must lie in [0, 0.5]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+def test_invalid_tolerance_writes_nothing(tmp_path, monkeypatch, capsys, tolerance):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("reproduce", "--tolerance", tolerance, "--export-scenarios", "m.json",
+                   "--output", "r.json") == 2
+    assert "--tolerance must be a finite number >= 0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,13 +1,14 @@
-"""The chunked CSV codec against the row-by-row reader and writer it replaced.
+"""The CSV reader and the chunked CSV writer against reference oracles.
 
 ``oracle_read_csv`` and ``oracle_write_csv`` are the original one-call-per-
-cell implementations, kept here as reference oracles: the codec must return
-bit-equal arrays, raise the same exception with the same message, and write
-the same bytes.
+cell implementations, kept here as reference oracles: the reader must return
+bit-equal arrays and raise the same exception with the same message, and the
+writer must write the same bytes.
 """
 
 import csv
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -167,6 +168,22 @@ def test_reader_matches_oracle_across_real_chunks(tmp_path, bad_line, bad_row, q
     assert got == _outcome(oracle_read_csv, path)
     if bad_line is not None:
         assert f"line {bad_line}:" in got[1]
+
+
+def test_reader_peak_memory_stays_near_output_size(tmp_path):
+    # the two float64 output columns take 16 bytes a row; the bound allows
+    # three times that, which a per-column list of Python floats exceeds
+    n = 200_000
+    path = tmp_path / "big.csv"
+    path.write_text(_big_text(np.random.default_rng(5), n), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        ds = read_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ds) == n
+    assert peak / n < 3 * 16
 
 
 def test_reader_keeps_csv_field_size_limit(tmp_path):
