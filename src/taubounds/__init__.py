@@ -28,7 +28,6 @@ from .bounds import (
 )
 from .concordance import HAVE_COMPILED_KERNEL, kendall_tau
 from .copulas import (
-    CopulaKind,
     CopulaSpec,
     constrained_lower,
     constrained_upper,
@@ -40,7 +39,6 @@ from .errors import (
     CsvFormatError,
     DomainError,
     EmptyDataError,
-    IncoherentIntervalError,
     InvalidSummaryError,
     MarginTableError,
     QuadratureError,
@@ -73,12 +71,12 @@ __all__ = [
     "TauInterval", "ThetaSummary", "clip", "decide", "envelope_summary",
     "marginal_cdf_bounds", "refined", "worst_case",
     "HAVE_COMPILED_KERNEL", "kendall_tau",
-    "CopulaKind", "CopulaSpec", "constrained_lower", "constrained_upper",
+    "CopulaSpec", "constrained_lower", "constrained_upper",
     "extremal_expectation", "sample_copula",
     "Dataset", "read_csv", "write_csv",
-    "CsvFormatError", "DomainError", "EmptyDataError", "IncoherentIntervalError",
-    "InvalidSummaryError", "MarginTableError", "QuadratureError", "TauBoundsError",
-    "TieError", "TiedDataWarning", "UnsupportedAnalysisError",
+    "CsvFormatError", "DomainError", "EmptyDataError", "InvalidSummaryError",
+    "MarginTableError", "QuadratureError", "TauBoundsError", "TieError",
+    "TiedDataWarning", "UnsupportedAnalysisError",
     "AnalysisReport", "CdfTable", "MarginKind", "MarginMode", "analyze", "summarize",
     "SCENARIOS", "CovariateScale", "MgpConfig", "PopulationBounds", "Scenario",
     "ThetaMismatchWarning", "median_joint_prob", "population_bounds",

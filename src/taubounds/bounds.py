@@ -15,7 +15,7 @@ probability theta = C(1/2, 1/2) tightens the pattern-1 terms via the
 constrained surfaces and can produce an interval excluding zero.
 
 Raw intervals may leave [-1, 1] (the all-missing upper bound is 3);
-:func:`clip` intersects with [-1, 1] for reporting.
+:func:`clip` projects them onto [-1, 1] for reporting.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .copulas import _lower_surface, _upper_surface, check_theta
 from .data import Dataset, as_dataset
-from .errors import IncoherentIntervalError, InvalidSummaryError, TiedDataWarning
+from .errors import InvalidSummaryError, TiedDataWarning
 
 __all__ = [
     "Decision",
@@ -177,12 +177,17 @@ class ThetaSummary:
 
 def _interval(kind: IntervalKind, base: DistSummary, m1: float | None,
               l1: float | None, se) -> TauInterval:
-    """The affine map of ``base`` at pattern-1 moments (m1, l1), with SEs ``se``."""
+    """The affine map of ``base`` at pattern-1 moments (m1, l1), with SEs ``se``.
+
+    The summaries hold l1 <= m1 only up to ``_MOMENT_TOL``, and rounding can
+    put the computed l1 an ulp above m1 (at u = 1, (u + v) - 1 can exceed v),
+    so a lower end above the upper one is set to the upper one.
+    """
     p = np.asarray(base.p_z, dtype=float)
     m1, l1, m2, m3 = (v if v is not None else 0.0 for v in (m1, l1, base.m2, base.m3))
     se_lower, se_upper = se if se is not None else (None, None)
-    return TauInterval(4.0 * l1 * p[0] - 1.0,
-                       4.0 * (m1 * p[0] + m2 * p[1] + m3 * p[2] + p[3]) - 1.0,
+    upper = 4.0 * (m1 * p[0] + m2 * p[1] + m3 * p[2] + p[3]) - 1.0
+    return TauInterval(min(4.0 * l1 * p[0] - 1.0, upper), upper,
                        kind, se_lower=se_lower, se_upper=se_upper)
 
 
@@ -263,17 +268,15 @@ def _plug_in(ds: Dataset, inputs, thetas=(), projected=False):
 
 
 def clip(interval: TauInterval) -> TauInterval:
-    """Intersect a raw interval with [-1, 1].
+    """Project each endpoint of a raw interval onto [-1, 1].
 
-    Coherent inputs always intersect (the worst-case interval brackets 0);
-    an interval entirely outside [-1, 1] raises
-    :class:`IncoherentIntervalError`.
+    For an interval that meets [-1, 1] (as every population one does: the
+    worst case brackets 0) this is the intersection. The estimate from a
+    tiny sample can lie wholly above 1 or below -1; it becomes (1, 1) or
+    (-1, -1).
     """
-    if interval.lower > 1.0 or interval.upper < -1.0:
-        raise IncoherentIntervalError(
-            f"interval ({interval.lower}, {interval.upper}) does not meet [-1, 1]")
-    return replace(interval, lower=max(interval.lower, -1.0),
-                   upper=min(interval.upper, 1.0), clipped=True)
+    return replace(interval, lower=min(max(interval.lower, -1.0), 1.0),
+                   upper=max(min(interval.upper, 1.0), -1.0), clipped=True)
 
 
 def decide(interval: TauInterval, se_guard: float = 0.0) -> Decision:

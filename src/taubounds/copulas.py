@@ -19,8 +19,7 @@ that ``analyze`` never loads it.
 
 from __future__ import annotations
 
-import enum
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,6 @@ import numpy as np
 from .errors import DomainError, QuadratureError
 
 __all__ = [
-    "CopulaKind",
     "CopulaSpec",
     "constrained_lower",
     "constrained_upper",
@@ -37,53 +35,39 @@ __all__ = [
 ]
 
 
-class CopulaKind(enum.Enum):
-    COMONOTONE = "comonotone"
-    COUNTERMONOTONE = "countermonotone"
-    INDEPENDENCE = "independence"
-    GAUSSIAN = "gaussian"
-
-
 @dataclass(frozen=True)
 class CopulaSpec:
-    """A bivariate copula usable for sampling.
+    """A bivariate Gaussian copula, given by ``rho``, the correlation of the
+    underlying normal pair, in [-1, 1].
 
-    ``rho`` is the correlation of the underlying bivariate normal pair and
-    is meaningful only for the Gaussian kind. The endpoints ``rho = +/-1``
-    are deliberately excluded; use the comonotone / countermonotone kinds
-    for perfectly dependent pairs.
+    The family holds the independence copula (rho = 0) and the
+    Frechet-Hoeffding envelopes: the comonotone copula M (rho = 1) and the
+    countermonotone copula W (rho = -1).
     """
 
-    kind: CopulaKind
-    rho: float | None = None
+    rho: float
 
     def __post_init__(self):
-        if self.kind is CopulaKind.GAUSSIAN:
-            if self.rho is None:
-                raise DomainError("Gaussian copula requires rho")
-            if not np.isfinite(self.rho) or not -1.0 < self.rho < 1.0:
-                raise DomainError(
-                    f"rho must lie strictly inside (-1, 1), got {self.rho!r}; "
-                    "use the comonotone/countermonotone kinds for the endpoints"
-                )
-        elif self.rho is not None:
-            raise DomainError(f"rho is not meaningful for kind {self.kind.value!r}")
+        rho = float(self.rho)
+        if not -1.0 <= rho <= 1.0:  # also rejects NaN
+            raise DomainError(f"rho must lie in [-1, 1], got {self.rho!r}")
+        object.__setattr__(self, "rho", rho)
 
     @staticmethod
     def gaussian(rho: float) -> "CopulaSpec":
-        return CopulaSpec(CopulaKind.GAUSSIAN, float(rho))
+        return CopulaSpec(rho)
 
     @staticmethod
     def comonotone() -> "CopulaSpec":
-        return CopulaSpec(CopulaKind.COMONOTONE)
+        return CopulaSpec(1.0)
 
     @staticmethod
     def countermonotone() -> "CopulaSpec":
-        return CopulaSpec(CopulaKind.COUNTERMONOTONE)
+        return CopulaSpec(-1.0)
 
     @staticmethod
     def independence() -> "CopulaSpec":
-        return CopulaSpec(CopulaKind.INDEPENDENCE)
+        return CopulaSpec(0.0)
 
 
 def _unit(name: str, a) -> np.ndarray:
@@ -141,15 +125,8 @@ def _upper_surface(th: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _sample_with(rng: np.random.Generator, spec: CopulaSpec, count: int) -> np.ndarray:
-    """Draw ``count`` points from ``spec`` using ``rng``; returns a (count, 2) array."""
-    if spec.kind is CopulaKind.COMONOTONE:
-        t = rng.random(count)
-        return np.column_stack((t, t))
-    if spec.kind is CopulaKind.COUNTERMONOTONE:
-        t = rng.random(count)
-        return np.column_stack((t, 1.0 - t))
-    if spec.kind is CopulaKind.INDEPENDENCE:
-        return rng.random((count, 2))
+    """Draw ``count`` points from ``spec`` using ``rng``; returns a (count, 2)
+    array. At rho = 1 (-1) the second coordinate is Phi(z) = u (Phi(-z))."""
     from scipy import special
 
     z = rng.standard_normal((count, 2))
@@ -186,52 +163,44 @@ def sample_copula(spec: CopulaSpec, count: int, seed: int) -> np.ndarray:
     return _sample_with(_rng_for(int(seed)), spec, int(count))
 
 
-_EXTREMAL_KINDS = (CopulaKind.COMONOTONE, CopulaKind.COUNTERMONOTONE)
+_QUAD_TOL = 1e-9
+"""Largest absolute error estimate :func:`extremal_expectation` accepts."""
 
 
-def extremal_expectation(
-    which: CopulaKind | str,
-    integrand: Callable[[float, float], float],
-    *,
-    tol: float = 1e-9,
-    breakpoints: Sequence[float] = (0.5,),
-) -> float:
-    """Expectation of ``integrand(u, v)`` under an envelope copula.
+def extremal_expectation(which: str, integrand: Callable[[float, float], float]) -> float:
+    """Expectation of ``integrand(u, v)`` under an envelope copula,
+    ``which`` being ``"comonotone"`` or ``"countermonotone"``.
 
     The comonotone copula concentrates on the diagonal v = u and the
     countermonotone copula on the antidiagonal v = 1 - u, so the bivariate
     expectation reduces to a one-dimensional integral over u in [0, 1].
     For supermodular integrands these are the maximal and minimal values of
-    the expectation over all copulas.
-
-    ``breakpoints`` are interior kink locations passed to the quadrature
-    (the envelope surfaces themselves kink at u = 1/2).
+    the expectation over all copulas. The quadrature is told of the kink of
+    the envelope surfaces at u = 1/2.
 
     Raises
     ------
     QuadratureError
-        If the adaptive rule cannot certify an absolute error below ``tol``.
+        If the adaptive rule cannot certify an absolute error below 1e-9.
     """
-    kind = CopulaKind(which) if isinstance(which, str) else which
-    if kind not in _EXTREMAL_KINDS:
-        raise DomainError("extremal expectations are defined for the comonotone "
-                          "and countermonotone kinds only")
-    if kind is CopulaKind.COMONOTONE:
+    if which == "comonotone":
         def g(t):
             return integrand(t, t)
-    else:
+    elif which == "countermonotone":
         def g(t):
             return integrand(t, 1.0 - t)
+    else:
+        raise DomainError("extremal expectations are defined for the comonotone "
+                          f"and countermonotone copulas only, not {which!r}")
 
     from scipy import integrate
 
-    pts = [p for p in breakpoints if 0.0 < p < 1.0]
-    result = integrate.quad(g, 0.0, 1.0, epsabs=tol / 10.0, epsrel=1e-12,
-                            points=pts or None, limit=200, full_output=1)
+    result = integrate.quad(g, 0.0, 1.0, epsabs=_QUAD_TOL / 10.0, epsrel=1e-12,
+                            points=[0.5], limit=200, full_output=1)
     if len(result) > 3:
         raise QuadratureError(f"quadrature did not converge: {result[3]}")
     value, abserr = result[0], result[1]
-    if abserr > tol:
+    if abserr > _QUAD_TOL:
         raise QuadratureError(
-            f"quadrature error estimate {abserr:.3e} exceeds tolerance {tol:.3e}")
+            f"quadrature error estimate {abserr:.3e} exceeds tolerance {_QUAD_TOL:.3e}")
     return float(value)

@@ -27,10 +27,6 @@ class InvalidSummaryError(TauBoundsError, ValueError):
     """A distribution summary violates its internal consistency rules."""
 
 
-class IncoherentIntervalError(TauBoundsError, ValueError):
-    """A raw interval does not intersect [-1, 1] at all."""
-
-
 class MarginTableError(TauBoundsError, ValueError):
     """A user-supplied CDF table is malformed or does not cover the data."""
 

@@ -37,7 +37,7 @@ from .bounds import Decision, IntervalKind, TauInterval, _integrands as _bound_i
 # kendall_tau and the constrained surfaces are not called here (bounds._integrands
 # evaluates the surfaces); the benchmark's traced run still rebinds them
 from .concordance import kendall_tau  # noqa: F401
-from .copulas import CopulaKind, CopulaSpec, check_theta, _rng_for, _sample_with
+from .copulas import CopulaSpec, check_theta, _rng_for, _sample_with
 from .copulas import constrained_lower, constrained_upper  # noqa: F401
 from .data import Dataset
 from .errors import DomainError
@@ -432,15 +432,6 @@ within about s of that ridge, so the z integrand turns within about s of
 such a point, too narrowly for the nodes of a wide strip to notice."""
 
 
-def _latent_rho(copula: CopulaSpec) -> float:
-    """Correlation of the normal pair whose probability transform is the
-    copula: 0 for independence, +1 and -1 for the extremal kinds."""
-    if copula.kind is CopulaKind.GAUSSIAN:
-        return copula.rho
-    return {CopulaKind.INDEPENDENCE: 0.0, CopulaKind.COMONOTONE: 1.0,
-            CopulaKind.COUNTERMONOTONE: -1.0}[copula.kind]
-
-
 @functools.cache
 def _legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(nodes)
@@ -515,7 +506,7 @@ def _strip_sums(config: MgpConfig, thetas: list[float], a: np.ndarray, b: np.nda
     """
     from scipy import special
 
-    rho = _latent_rho(config.copula)
+    rho = config.copula.rho
     s = math.sqrt(1.0 - rho * rho)
     panels = _w_panels(thetas)
     out = np.empty((len(a), 2 + 2 * len(thetas) + 5))
@@ -573,10 +564,10 @@ def _quadrature(config: MgpConfig, thetas: list[float]):
     points and summation order, so inequalities that hold between the
     integrands point by point hold between the results exactly.
     """
-    rho = _latent_rho(config.copula)
+    rho = config.copula.rho
     if abs(rho) == 1.0:
-        raise DomainError("quadrature needs a Gaussian or independence copula; use "
-                          "population_bounds for the comonotone and countermonotone kinds")
+        raise DomainError("quadrature needs |rho| < 1; use population_bounds for "
+                          "the comonotone and countermonotone copulas")
     edges = _z_edges(thetas, rho)
     a, b = edges[:-1], edges[1:]
     split = np.ones(len(a), dtype=int)
@@ -626,9 +617,9 @@ def population_bounds_quadrature(
     bounds when ``thetas`` is empty. Every theta uses the same nodes, so the
     refined intervals are nested in the worst case and monotone in theta
     exactly. The ``se_*`` fields hold the error estimate of the adaptive
-    piecewise Gauss-Legendre rule (see :func:`_quadrature`). Covers the
-    Gaussian and independence copulas; raises ``DomainError`` for the
-    comonotone and countermonotone kinds.
+    piecewise Gauss-Legendre rule (see :func:`_quadrature`). Raises
+    ``DomainError`` at rho = +/-1, the comonotone and countermonotone
+    copulas.
     """
     config = _as_config(config_or_name)
     thetas = [check_theta(t) for t in thetas]
@@ -643,11 +634,11 @@ def population_bounds_quadrature(
 def true_tau(config_or_name, draws=None, seed=None) -> float:
     """Kendall's tau of the latent pair (before masking), in closed form.
 
-    tau = (2/pi) asin(rho) for the Gaussian copula (Kruskal 1958); the
-    independence, comonotone and countermonotone kinds are its rho = 0, 1
-    and -1 cases. ``draws`` and ``seed`` are accepted and ignored.
+    tau = (2/pi) asin(rho) for the Gaussian copula (Kruskal 1958), so 0, 1
+    and -1 for the independence, comonotone and countermonotone copulas.
+    ``draws`` and ``seed`` are accepted and ignored.
     """
-    return 2.0 * math.asin(_latent_rho(_as_config(config_or_name).copula)) / math.pi
+    return 2.0 * math.asin(_as_config(config_or_name).copula.rho) / math.pi
 
 
 def median_joint_prob(config_or_name) -> float:
@@ -655,7 +646,7 @@ def median_joint_prob(config_or_name) -> float:
 
     C(1/2, 1/2) = 1/4 + asin(rho) / (2 pi) for the Gaussian copula (Sheppard
     1899), and so 1/4, 1/2 and 0 for the independence, comonotone and
-    countermonotone kinds.
+    countermonotone copulas.
     """
-    rho = _latent_rho(_as_config(config_or_name).copula)
+    rho = _as_config(config_or_name).copula.rho
     return 0.25 + math.asin(rho) / (2.0 * math.pi)

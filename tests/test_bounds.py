@@ -1,6 +1,8 @@
 """Tests for the interval algebra, CDF envelopes, and decisions."""
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,12 +12,14 @@ from taubounds import (
     Dataset,
     Decision,
     DistSummary,
-    IncoherentIntervalError,
     IntervalKind,
     InvalidSummaryError,
+    MarginMode,
     StepFunction,
     TauInterval,
     ThetaSummary,
+    TiedDataWarning,
+    analyze,
     clip,
     decide,
     envelope_summary,
@@ -23,6 +27,7 @@ from taubounds import (
     refined,
     worst_case,
 )
+from taubounds.cli import main
 from taubounds.mgp import simulate_dataset, MgpConfig, CovariateScale
 from taubounds.copulas import CopulaSpec
 
@@ -201,10 +206,12 @@ class TestClipAndDecide:
         assert clip(TauInterval(0.0, 1.0, IntervalKind.WORST_CASE)).lower == 0.0
 
     def test_clip_incoherent(self):
-        with pytest.raises(IncoherentIntervalError):
-            clip(TauInterval(1.5, 2.0, IntervalKind.WORST_CASE))
-        with pytest.raises(IncoherentIntervalError):
-            clip(TauInterval(-3.0, -1.5, IntervalKind.WORST_CASE))
+        # an interval wholly outside [-1, 1] collapses onto the nearer end
+        above = clip(TauInterval(1.5, 2.0, IntervalKind.WORST_CASE, se_lower=0.1))
+        assert (above.lower, above.upper, above.clipped) == (1.0, 1.0, True)
+        assert above.se_lower == 0.1
+        below = clip(TauInterval(-3.0, -1.5, IntervalKind.WORST_CASE))
+        assert (below.lower, below.upper, below.clipped) == (-1.0, -1.0, True)
 
     def test_decide_examples(self):
         assert decide(TauInterval(-0.9, -0.0108, IntervalKind.REFINED)) \
@@ -245,6 +252,23 @@ class TestClipAndDecide:
             assert decide(interval) is decided
             for guard in (1e-300, 1e-9, 1.0, 3.0):
                 assert decide(interval, se_guard=guard) is Decision.INCONCLUSIVE
+
+    def test_endpoints_crossing_by_rounding(self):
+        # (1 + 5/6) - 1 rounds one ulp above min(1, 5/6): the lower end is
+        # computed above the upper one and is set to it
+        interval = worst_case(summary((1, 0, 0, 0), m1=0.8333333333333334,
+                                      l1=(1.0 + 0.8333333333333334) - 1.0))
+        assert interval.lower == interval.upper == 4.0 * 0.8333333333333334 - 1.0
+        # the moment tolerance admits a crossing of a few 1e-12, set the same way
+        base = summary((1, 0, 0, 0), m1=0.5, l1=0.5 + 1e-12)
+        assert worst_case(base).lower == worst_case(base).upper == 1.0
+        theta = refined(ThetaSummary(0.5, 0.5, 0.5 + 1e-12, base))
+        assert theta.lower == theta.upper == 1.0
+        # unknown margins of tied data: l1 = 0.8611111111111113, m1 one ulp less
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TiedDataWarning)
+            tied = worst_case(envelope_summary([(0, 0)] * 5 + [(0, 0.5)]))
+        assert tied.lower == tied.upper
 
     def test_interval_validation(self):
         with pytest.raises(InvalidSummaryError):
@@ -357,3 +381,39 @@ class TestWorstCaseUnknownMargins:
         assert unknown.lower <= known.lower + 1e-12
         assert known.upper <= unknown.upper + 1e-12
         assert unknown.lower <= 0.0 <= unknown.upper
+
+
+class TestTinySamples:
+    """Valid inputs of one or two records whose raw intervals lie wholly
+    above 1, or whose computed ends cross by one rounding: each is reported
+    as the clipped (1, 1), with a positive decision."""
+
+    CASES = [
+        pytest.param([(0.9623, 0.7389)], "uniform01", 0.4, id="one-row-theta"),
+        pytest.param([(0.9623, 0.7389)], "unknown", None, id="one-row-unknown"),
+        pytest.param([(0.75, 0.375), (0.875, 0.375)], "unknown", None, id="two-rows-unknown"),
+        pytest.param([(1.0, 0.8333333333333334)], "uniform01", None, id="one-row-rounding"),
+    ]
+
+    @pytest.mark.parametrize("records, margins, theta", CASES)
+    def test_analyze(self, records, margins, theta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TiedDataWarning)
+            report = analyze(records, getattr(MarginMode, margins)(), theta=theta)
+        decisive = report.decisive_interval()
+        assert (decisive.lower, decisive.upper) == (1.0, 1.0)
+        assert report.decision is Decision.DEPENDENCE_POSITIVE
+        assert report.worst_case_raw.lower <= report.worst_case_raw.upper
+
+    @pytest.mark.parametrize("records, margins, theta", CASES)
+    def test_cli(self, records, margins, theta, tmp_path, capsys):
+        data = tmp_path / "tiny.csv"
+        data.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in records))
+        argv = ["analyze", "--input", str(data), "--margins", margins, "--format", "json"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TiedDataWarning)
+            assert main(argv + ([] if theta is None else ["--theta", repr(theta)])) == 0
+        payload = json.loads(capsys.readouterr().out)
+        decisive = payload["refined"] or payload["worst_case"]
+        assert decisive["clipped"] == {"lower": 1.0, "upper": 1.0}
+        assert payload["decision"] == "dependence_positive"

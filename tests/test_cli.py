@@ -253,6 +253,27 @@ class TestSimulateCommand:
         assert run_cli("simulate", "--rho", "1.5", "--gamma", "zeros",
                        "--n", "10", "--output", str(tmp_path / "x.csv")) == 2
 
+    @pytest.mark.parametrize("rho, pair", [("1", lambda x: x), ("-1", lambda x: 1.0 - x)],
+                             ids=["comonotone", "countermonotone"])
+    def test_extremal_rho(self, tmp_path, rho, pair):
+        out = tmp_path / "x.csv"
+        assert run_cli("simulate", "--rho", rho, "--gamma", "zeros", "--n", "2000",
+                       "--output", str(out)) == 0
+        ds = read_csv(out)
+        complete = ds.z == 1
+        assert np.count_nonzero(complete) > 300
+        assert np.allclose(ds.y[complete], pair(ds.x[complete]), rtol=0.0, atol=1e-15)
+        if rho == "1":
+            assert np.array_equal(ds.y[complete], ds.x[complete])
+
+    def test_extremal_rho_bounds_output_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # the quadrature needs |rho| < 1, and is run before the CSV is written
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("simulate", "--rho", "1", "--gamma", "zeros", "--n", "10",
+                       "--output", "a.csv", "--bounds-output", "b.json") == 2
+        assert "rho" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_scenario_conflicts_with_rho(self, tmp_path):
         assert run_cli("simulate", "--scenario", "P1", "--rho", "0.2",
                        "--n", "10", "--output", str(tmp_path / "x.csv")) == 2

@@ -7,7 +7,6 @@ import pytest
 from scipy import stats
 
 from taubounds import (
-    CopulaKind,
     CopulaSpec,
     DomainError,
     QuadratureError,
@@ -107,16 +106,20 @@ class TestConstrainedBounds:
 
 
 class TestCopulaSpec:
-    def test_gaussian_needs_open_interval(self):
-        for bad in (-1.0, 1.0, 1.5, math.nan):
+    def test_rho_must_lie_in_closed_interval(self):
+        for bad in (-1.0 - 1e-15, 1.0 + 1e-15, 1.5, -math.inf, math.inf, math.nan):
             with pytest.raises(DomainError):
                 CopulaSpec.gaussian(bad)
-        with pytest.raises(DomainError):
-            CopulaSpec(CopulaKind.GAUSSIAN)
+            with pytest.raises(DomainError):
+                CopulaSpec(bad)
+        for rho in (-1.0, -0.5, 0.0, 0.999, 1.0):
+            assert CopulaSpec.gaussian(rho).rho == rho
 
-    def test_rho_rejected_elsewhere(self):
-        with pytest.raises(DomainError):
-            CopulaSpec(CopulaKind.COMONOTONE, rho=0.5)
+    def test_named_copulas_are_gaussian_members(self):
+        assert CopulaSpec.gaussian(1.0) == CopulaSpec.comonotone()
+        assert CopulaSpec.gaussian(-1.0) == CopulaSpec.countermonotone()
+        assert CopulaSpec.gaussian(0.0) == CopulaSpec.independence()
+        assert CopulaSpec(1) == CopulaSpec.comonotone() and type(CopulaSpec(1).rho) is float
 
 
 class TestSampling:

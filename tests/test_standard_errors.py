@@ -134,6 +134,7 @@ cells = st.sampled_from([None, 0.0, 0.5, 1.0])
        theta=st.sampled_from([0.0, 0.5]), seed=st.integers(0, 2**32 - 1))
 @example(records=[(0.5, 0.5)], theta=0.5, seed=0)
 @example(records=[(1.0, 0.0), (0.5, None), (None, 0.5), (None, None)], theta=0.0, seed=1)
+@example(records=[(0.0, 0.0)] * 5 + [(0.0, 0.5)], theta=0.0, seed=2)
 def test_endpoints_and_ses_of_the_per_row_columns(records, theta, seed):
     """On tiny tied data: the endpoints are the affine map of the per-pattern
     means, each SE is 4 sd / sqrt(n) of its per-row column (projected under
@@ -160,8 +161,8 @@ def test_endpoints_and_ses_of_the_per_row_columns(records, theta, seed):
         _check_ses((interval.se_lower, interval.se_upper), (permuted.se_lower, permuted.se_upper),
                    (lower, upper))
 
-    # unknown margins, checked on the summary: worst_case can still reject
-    # the interval of tiny tied data (lower above upper by one rounding)
+    # unknown margins: the summary's moments and the interval, whose ends
+    # the rounding of tiny tied data can make cross (then lower is set to upper)
     (h_upper, h_lower), projected = _projected_rows(ds)
     moments = (unknown.m1, unknown.l1, unknown.m2, unknown.m3)
     for pattern, moment, h in zip((1, 1, 2, 3), moments, (h_upper, h_lower, h_upper, h_upper)):
@@ -169,7 +170,13 @@ def test_endpoints_and_ses_of_the_per_row_columns(records, theta, seed):
             assert moment == pytest.approx(h[z == pattern].mean(), abs=1e-12)
     assert moments == (unknown_shuffled.m1, unknown_shuffled.l1, unknown_shuffled.m2,
                        unknown_shuffled.m3)
-    _check_ses(unknown.se, unknown_shuffled.se, projected[::-1])
+    interval, permuted = worst_case(unknown), worst_case(unknown_shuffled)
+    expected_lower, expected_upper = _affine(z, h_upper, h_lower)
+    assert interval.lower == pytest.approx(expected_lower, abs=1e-12)
+    assert interval.upper == pytest.approx(expected_upper, abs=1e-12)
+    assert (permuted.lower, permuted.upper) == (interval.lower, interval.upper)
+    _check_ses((interval.se_lower, interval.se_upper), (permuted.se_lower, permuted.se_upper),
+               projected[::-1])
 
 
 def _check_ses(se, permuted, rows):
