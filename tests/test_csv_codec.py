@@ -9,6 +9,7 @@ writer must write the same bytes.
 import csv
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from taubounds import CdfTable, Dataset, read_csv, write_csv
 from taubounds import data
 from taubounds.errors import CsvFormatError, EmptyDataError
+from taubounds.mgp import SCENARIOS, CovariateScale, simulate_dataset
 
 
 # ---------------------------------------------------------------------------
@@ -123,17 +125,49 @@ def csv_texts(draw):
     return text
 
 
+PLAIN_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.just(""),
+)
+# cells of the plain alphabet that numpy and float may read differently
+PLAIN_ODD_CELLS = st.text("0123456789+-.eE", max_size=8)
+PLAIN_ODD_ROWS = st.one_of(
+    st.tuples(PLAIN_CELLS, PLAIN_ODD_CELLS).map(list),
+    st.tuples(PLAIN_ODD_CELLS, PLAIN_CELLS).map(list),
+    st.lists(PLAIN_CELLS, min_size=1, max_size=1),
+    st.lists(PLAIN_CELLS, min_size=3, max_size=3),
+)
+
+
+@st.composite
+def plain_texts(draw):
+    """Small files in write_csv's form, which the block reader parses: header
+    ``x,y``, ``repr`` or empty cells, ``\n`` only; a few carry one odd row."""
+    rows = draw(st.lists(st.one_of(st.just([]), st.lists(PLAIN_CELLS, min_size=2, max_size=2)),
+                         max_size=12))
+    if draw(st.integers(0, 3)) == 0:
+        rows.insert(draw(st.integers(0, len(rows))), draw(PLAIN_ODD_ROWS))
+    text = "x,y\n" + "".join(",".join(row) + "\n" for row in rows)
+    if draw(st.booleans()):
+        text = text.rstrip("\n")
+    return text
+
+
 @settings(max_examples=600, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=csv_texts(), chunk_rows=st.sampled_from([1, 2, 3, data._CHUNK_ROWS]))
-@example(text="x,y\n0.5\n0.25,0.5,0.75\n", chunk_rows=data._CHUNK_ROWS)
-@example(text='x,y\n0.5,0.25\n"0.5\n",0.25\n', chunk_rows=1)
-@example(text="x,y\r\n\r\n0.5,NA\r\r,\n\n", chunk_rows=1)
-@example(text="x,y\r" + "0.5,0.25\r" * 4 + "junk,1\r", chunk_rows=1)
-def test_reader_matches_row_by_row_oracle(tmp_path, text, chunk_rows):
+@given(text=st.one_of(plain_texts(), csv_texts()),
+       block_bytes=st.sampled_from([1, 2, 3, 7, data._BLOCK_BYTES]))
+@example(text="x,y\n0.5\n0.25,0.5,0.75\n", block_bytes=data._BLOCK_BYTES)
+@example(text='x,y\n0.5,0.25\n"0.5\n",0.25\n', block_bytes=1)
+@example(text="x,y\r\n\r\n0.5,NA\r\r,\n\n", block_bytes=1)
+@example(text="x,y\r" + "0.5,0.25\r" * 4 + "junk,1\r", block_bytes=1)
+@example(text="x,y\n,\n\n0.5,\n,-0.0\n1e-999,5.\n", block_bytes=3)
+@example(text="x,y\n0.5,0.25\n1e999,0.5", block_bytes=7)
+@example(text="x,y\n0.5,nan\n", block_bytes=data._BLOCK_BYTES)
+def test_reader_matches_row_by_row_oracle(tmp_path, text, block_bytes):
     path = tmp_path / "in.csv"
     path.write_bytes(text.encode("utf-8"))
-    with mock.patch.object(data, "_CHUNK_ROWS", chunk_rows):
+    with mock.patch.object(data, "_BLOCK_BYTES", block_bytes):
         got = _outcome(read_csv, path)
     assert got == _outcome(oracle_read_csv, path)
 
@@ -158,12 +192,13 @@ def _big_text(rng, n, bad_line=None, bad_row=None, quote_line=None):
     (180_001, "0.5", 90_000),
 ])
 def test_reader_matches_oracle_across_real_chunks(tmp_path, bad_line, bad_row, quote_line):
-    # 200k rows span many chunks of the default size, so the error or the
-    # first quote falls in a later chunk than the first
+    # 200k rows span many reader blocks; their NA cells send the whole file
+    # to the row-by-row reader, so the error or the first quote falls far
+    # beyond the first block
     path = tmp_path / "big.csv"
     text = _big_text(np.random.default_rng(5), 200_000, bad_line, bad_row, quote_line)
-    assert 200_000 > 3 * data._CHUNK_ROWS
     path.write_text(text, encoding="utf-8")
+    assert path.stat().st_size > 3 * data._BLOCK_BYTES
     got = _outcome(read_csv, path)
     assert got == _outcome(oracle_read_csv, path)
     if bad_line is not None:
@@ -171,6 +206,7 @@ def test_reader_matches_oracle_across_real_chunks(tmp_path, bad_line, bad_row, q
 
 
 def test_reader_peak_memory_stays_near_output_size(tmp_path):
+    # every third row holds NA, so this measures the row-by-row reader
     # the two float64 output columns take 16 bytes a row; the bound allows
     # three times that, which a per-column list of Python floats exceeds
     n = 200_000
@@ -184,6 +220,109 @@ def test_reader_peak_memory_stays_near_output_size(tmp_path):
         tracemalloc.stop()
     assert len(ds) == n
     assert peak / n < 3 * 16
+
+
+def _written_dataset(rng, n):
+    x, y = rng.random(n), rng.standard_normal(n)
+    x[rng.random(n) < 0.3] = np.nan
+    y[rng.random(n) < 0.3] = np.nan
+    return Dataset(x, y)
+
+
+def _row_reader_refused(rows):
+    raise AssertionError("read row by row")
+
+
+def test_block_reader_peak_memory_stays_near_output_size(tmp_path):
+    # the same bound for a file that only the block reader reads
+    n = 200_000
+    path = tmp_path / "big.csv"
+    write_csv(_written_dataset(np.random.default_rng(6), n), path)
+    with mock.patch.object(data, "_parse_rows", _row_reader_refused):
+        tracemalloc.start()
+        try:
+            ds = read_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(ds) == n
+    assert peak / n < 3 * 16
+
+
+@pytest.mark.parametrize("scale", list(CovariateScale))
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_block_reader_reads_simulated_datasets(tmp_path, name, scale):
+    ds = simulate_dataset(SCENARIOS[name].config(scale), 100_000, seed=3)
+    path = tmp_path / "sim.csv"
+    write_csv(ds, path)
+    with mock.patch.object(data, "_parse_rows", _row_reader_refused):
+        back = read_csv(path)
+    assert back.x.tobytes() == ds.x.tobytes() and back.y.tobytes() == ds.y.tobytes()
+    assert np.array_equal(back.z, ds.z)
+
+
+LATE_ROWS = {
+    "overflow": "1e999,0.5",
+    "two-points": "0.5,1.2.3",
+    "three-cells": "0.5,0.25,0.75",
+    "one-cell": "0.5",
+    "NA": "0.5,NA",
+    "space": " 0.5,0.25",
+    "long-cell": "0." + "0" * 131_070 + "1,0.5",
+}
+
+
+@pytest.mark.parametrize("bad_row", LATE_ROWS.values(), ids=LATE_ROWS.keys())
+def test_block_reader_falls_back_in_a_late_block(tmp_path, bad_row):
+    bad_line = 180_001
+    path = tmp_path / "big.csv"
+    write_csv(_written_dataset(np.random.default_rng(7), 200_000), path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[bad_line - 1] = bad_row
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with mock.patch.object(data, "_add_plain_lines", wraps=data._add_plain_lines) as plain, \
+            mock.patch.object(data, "_parse_rows", wraps=data._parse_rows) as rows:
+        got = _outcome(read_csv, path)
+    assert plain.call_count > 100 and rows.call_count == 1
+    assert got == _outcome(oracle_read_csv, path)
+    if got[0] is CsvFormatError:
+        assert f"line {bad_line}:" in got[1]
+
+
+def test_block_reader_stops_at_a_line_over_the_field_limit(tmp_path):
+    # the block reader gives up once an unfinished line passes the limit,
+    # instead of reading the rest of it
+    limit = csv.field_size_limit()
+    path = tmp_path / "long.csv"
+    path.write_text("x,y\n" + "1" * (8 * limit) + ",0.5\n", encoding="utf-8")
+    with mock.patch.object(data, "_add_plain_lines", wraps=data._add_plain_lines) as plain:
+        got = _outcome(read_csv, path)
+    assert got == _outcome(oracle_read_csv, path)
+    assert got[0] is csv.Error
+    assert plain.call_count < 2 * limit / data._BLOCK_BYTES
+
+
+@pytest.mark.parametrize("text", ["x,y\n", "x,y\n\n\n", "\ufeffx,y\n\n"])
+def test_block_reader_empty_body_raises_without_warning(tmp_path, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings(), \
+            mock.patch.object(data, "_parse_rows", _row_reader_refused):
+        warnings.simplefilter("error")
+        with pytest.raises(EmptyDataError, match="empty input"):
+            read_csv(path)
+
+
+def test_block_reader_accepts_byte_order_mark_without_warning(tmp_path):
+    body = "x,y\n0.5,\n\n,0.25\n-1e-05,3.0\n"
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(body, encoding="utf-8")
+    bom.write_text("\ufeff" + body, encoding="utf-8")
+    with warnings.catch_warnings(), \
+            mock.patch.object(data, "_parse_rows", _row_reader_refused):
+        warnings.simplefilter("error")
+        assert _outcome(read_csv, bom) == _outcome(read_csv, plain)
+    assert _outcome(read_csv, plain) == _outcome(oracle_read_csv, plain)
 
 
 def test_reader_keeps_csv_field_size_limit(tmp_path):
