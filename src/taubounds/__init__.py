@@ -31,7 +31,6 @@ from .copulas import (
     CopulaSpec,
     constrained_lower,
     constrained_upper,
-    extremal_expectation,
     sample_copula,
 )
 from .data import Dataset, read_csv, write_csv
@@ -41,7 +40,6 @@ from .errors import (
     EmptyDataError,
     InvalidSummaryError,
     MarginTableError,
-    QuadratureError,
     TauBoundsError,
     TieError,
     TiedDataWarning,
@@ -71,11 +69,10 @@ __all__ = [
     "TauInterval", "ThetaSummary", "clip", "decide", "envelope_summary",
     "marginal_cdf_bounds", "refined", "worst_case",
     "HAVE_COMPILED_KERNEL", "kendall_tau",
-    "CopulaSpec", "constrained_lower", "constrained_upper",
-    "extremal_expectation", "sample_copula",
+    "CopulaSpec", "constrained_lower", "constrained_upper", "sample_copula",
     "Dataset", "read_csv", "write_csv",
     "CsvFormatError", "DomainError", "EmptyDataError", "InvalidSummaryError",
-    "MarginTableError", "QuadratureError", "TauBoundsError", "TieError",
+    "MarginTableError", "TauBoundsError", "TieError",
     "TiedDataWarning", "UnsupportedAnalysisError",
     "AnalysisReport", "CdfTable", "MarginKind", "MarginMode", "analyze", "summarize",
     "SCENARIOS", "CovariateScale", "MgpConfig", "PopulationBounds", "Scenario",

@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .copulas import _lower_surface, _upper_surface, check_theta
 from .data import Dataset, as_dataset
-from .errors import InvalidSummaryError, TiedDataWarning
+from .errors import InvalidSummaryError, TiedDataWarning, _warn
 
 __all__ = [
     "Decision",
@@ -340,9 +339,8 @@ class SteppedCdfBounds:
 def _warn_if_tied(name: str, s: np.ndarray) -> None:
     """Warn if the sorted values ``s`` repeat (NaN equals nothing, so never does)."""
     if np.any(s[1:] == s[:-1]):
-        warnings.warn(f"tied values in observed {name}; continuing, but the "
-                      "identification argument assumes continuous data",
-                      TiedDataWarning, stacklevel=3)
+        _warn(f"tied values in observed {name}; continuing, but the "
+              "identification argument assumes continuous data", TiedDataWarning)
 
 
 def marginal_cdf_bounds(records) -> SteppedCdfBounds:

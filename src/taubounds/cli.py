@@ -186,16 +186,14 @@ def _cmd_simulate(args) -> int:
     if args.theta is not None:
         check_theta(args.theta)
     config = _config_from_args(args)
-    # computed first: the quadrature rejects rho = +/-1, and then nothing is written
-    if args.bounds_output is not None:
-        thetas = [] if args.theta is None else [args.theta]
-        pb = population_bounds_quadrature(config, thetas, warn_on_theta_mismatch=False)[0]
     dataset = simulate_dataset(config, args.n, args.seed)
     write_csv(dataset, args.output)
     counts = dataset.pattern_counts()
     print(f"wrote {len(dataset)} records to {args.output} "
           f"(pattern counts {counts.tolist()})")
     if args.bounds_output is not None:
+        thetas = [] if args.theta is None else [args.theta]
+        pb = population_bounds_quadrature(config, thetas, warn_on_theta_mismatch=False)[0]
         _dump_json(_bounds_payload(pb), args.bounds_output)
         print(f"population bounds written to {args.bounds_output}")
     return 0
@@ -310,8 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--scenario", choices=sorted(SCENARIOS), default=None)
     ps.add_argument("--rho", type=float, default=None,
                     help="Gaussian copula correlation in [-1, 1]: 0 gives independence, "
-                         "1 and -1 the comonotone and countermonotone copulas "
-                         "(--bounds-output needs |rho| < 1)")
+                         "1 and -1 the comonotone and countermonotone copulas")
     ps.add_argument("--gamma", default=None,
                     help="8 comma-separated logit coefficients (x,y per pattern 1..4) or 'zeros'")
     ps.add_argument("--covariate-scale", choices=sorted(_SCALES), default="uniform01")

@@ -1,4 +1,4 @@
-"""Copula bound surfaces, copula samplers, and extremal expectations.
+"""Copula bound surfaces, the Gaussian copula family, and its sampler.
 
 Every bivariate copula C satisfies the pointwise envelope
 
@@ -9,9 +9,10 @@ probability of both variables falling below their medians is known to be
 ``theta``, the envelope tightens to the constrained surfaces
 :func:`constrained_lower` / :func:`constrained_upper`.
 
-Expectations of supermodular integrands over the set of all copulas are
-extremised at the envelope copulas; :func:`extremal_expectation` evaluates
-those extremes by one-dimensional quadrature along the (anti)diagonal.
+The envelope copulas are the rho = 1 and rho = -1 members of the Gaussian
+family :class:`CopulaSpec`. Expectations of supermodular integrands over the
+set of all copulas are extremised at them; the population engines of
+:mod:`taubounds.mgp` evaluate such expectations for every rho in [-1, 1].
 
 scipy is imported by the functions that call it, not at module level, so
 that ``analyze`` never loads it.
@@ -19,19 +20,17 @@ that ``analyze`` never loads it.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError
 
 __all__ = [
     "CopulaSpec",
     "constrained_lower",
     "constrained_upper",
     "sample_copula",
-    "extremal_expectation",
 ]
 
 
@@ -162,45 +161,3 @@ def sample_copula(spec: CopulaSpec, count: int, seed: int) -> np.ndarray:
         raise ValueError(f"count must be >= 1, got {count}")
     return _sample_with(_rng_for(int(seed)), spec, int(count))
 
-
-_QUAD_TOL = 1e-9
-"""Largest absolute error estimate :func:`extremal_expectation` accepts."""
-
-
-def extremal_expectation(which: str, integrand: Callable[[float, float], float]) -> float:
-    """Expectation of ``integrand(u, v)`` under an envelope copula,
-    ``which`` being ``"comonotone"`` or ``"countermonotone"``.
-
-    The comonotone copula concentrates on the diagonal v = u and the
-    countermonotone copula on the antidiagonal v = 1 - u, so the bivariate
-    expectation reduces to a one-dimensional integral over u in [0, 1].
-    For supermodular integrands these are the maximal and minimal values of
-    the expectation over all copulas. The quadrature is told of the kink of
-    the envelope surfaces at u = 1/2.
-
-    Raises
-    ------
-    QuadratureError
-        If the adaptive rule cannot certify an absolute error below 1e-9.
-    """
-    if which == "comonotone":
-        def g(t):
-            return integrand(t, t)
-    elif which == "countermonotone":
-        def g(t):
-            return integrand(t, 1.0 - t)
-    else:
-        raise DomainError("extremal expectations are defined for the comonotone "
-                          f"and countermonotone copulas only, not {which!r}")
-
-    from scipy import integrate
-
-    result = integrate.quad(g, 0.0, 1.0, epsabs=_QUAD_TOL / 10.0, epsrel=1e-12,
-                            points=[0.5], limit=200, full_output=1)
-    if len(result) > 3:
-        raise QuadratureError(f"quadrature did not converge: {result[3]}")
-    value, abserr = result[0], result[1]
-    if abserr > _QUAD_TOL:
-        raise QuadratureError(
-            f"quadrature error estimate {abserr:.3e} exceeds tolerance {_QUAD_TOL:.3e}")
-    return float(value)

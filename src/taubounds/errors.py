@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception and warning types shared across the package, and the helper
+that issues its warnings."""
+
+import sys
+import warnings
 
 
 class TauBoundsError(Exception):
@@ -17,10 +21,6 @@ class TieError(TauBoundsError, ValueError):
         self.value = value
         super().__init__(f"tied values in {coordinate} (value {value!r}); "
                          "the concordance estimate requires tie-free data")
-
-
-class QuadratureError(TauBoundsError, RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
 
 
 class InvalidSummaryError(TauBoundsError, ValueError):
@@ -54,3 +54,16 @@ class TiedDataWarning(UserWarning):
     ties are incompatible with the continuity assumption and usually come
     from rounding.
     """
+
+
+def _warn(message: str, category: type[Warning]) -> None:
+    """Issue a warning attributed to the first caller outside the package.
+
+    Python shows a warning once per code location, so a warning attributed
+    to a package line would show once however many call sites reach it.
+    """
+    frame, level = sys._getframe(1), 2
+    while frame is not None and \
+            frame.f_globals.get("__name__", "").partition(".")[0] == __package__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)

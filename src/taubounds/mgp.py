@@ -12,8 +12,10 @@ propensities; no pattern needs to be drawn for them. Two engines compute
 them from one integrand routine: piecewise Gauss-Legendre quadrature
 (:func:`population_bounds_quadrature`, deterministic, used by the CLI) and
 Monte Carlo (:func:`population_bounds_sweep`, the reference the tests check
-the quadrature against). Kendall's tau and the median-quadrant probability
-of the latent copula are closed forms.
+the quadrature against). Both cover the whole Gaussian family, rho in
+[-1, 1], so the expectations under the Frechet-Hoeffding envelopes M
+(rho = 1) and W (rho = -1) come from the same quadrature. Kendall's tau and
+the median-quadrant probability of the latent copula are closed forms.
 
 All sampling is performed in fixed-size blocks with counter-based
 substreams keyed by (seed, block index), drawn and reduced one block after
@@ -28,7 +30,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ from .concordance import kendall_tau  # noqa: F401
 from .copulas import CopulaSpec, check_theta, _rng_for, _sample_with
 from .copulas import constrained_lower, constrained_upper  # noqa: F401
 from .data import Dataset
-from .errors import DomainError
+from .errors import _warn
 
 __all__ = [
     "CovariateScale",
@@ -318,12 +319,11 @@ def _assemble(thetas: list[float], mean: np.ndarray, err: np.ndarray, warn: bool
     for j, th in enumerate(thetas or [None]):
         if warn and th is not None \
                 and abs(th - theta_hat) > 3.0 * max(theta_hat_se, _THETA_MATCH_FLOOR):
-            warnings.warn(
-                f"supplied theta={th} differs from the configuration's "
-                f"median-quadrant probability {theta_hat:.4f} "
-                f"(+/- {theta_hat_se:.1e}); the refined bounds condition on "
-                "side information this configuration does not satisfy",
-                ThetaMismatchWarning, stacklevel=3)
+            _warn(f"supplied theta={th} differs from the configuration's "
+                  f"median-quadrant probability {theta_hat:.4f} "
+                  f"(+/- {theta_hat_se:.1e}); the refined bounds condition on "
+                  "side information this configuration does not satisfy",
+                  ThetaMismatchWarning)
         out.append(PopulationBounds(
             worst_case=wc,
             refined=(None if th is None
@@ -429,7 +429,9 @@ _RIDGE = 0.02
 16s, ... (up to 1) on both sides of every point where a kink line crosses
 the ridge v = u (rho > 0) or v = 1 - u (rho < 0). The copula's mass lies
 within about s of that ridge, so the z integrand turns within about s of
-such a point, too narrowly for the nodes of a wide strip to notice."""
+such a point, too narrowly for the nodes of a wide strip to notice. At
+s = 0 (rho = +-1) the mass lies on the ridge and the z range is cut at the
+crossings alone."""
 
 
 @functools.cache
@@ -455,7 +457,8 @@ def _outer_cuts(thetas: list[float]) -> np.ndarray:
 
 def _z_edges(thetas: list[float], rho: float) -> np.ndarray:
     """The initial strip edges in z: the outer cuts, graded towards the
-    ridge crossings when the ridge is narrow (see ``_RIDGE``)."""
+    ridge crossings when the ridge is narrow and cut at them when it has no
+    width (see ``_RIDGE``)."""
     from scipy import special
 
     u = _outer_cuts(thetas)
@@ -467,7 +470,8 @@ def _z_edges(thetas: list[float], rho: float) -> np.ndarray:
         th = np.asarray(thetas, dtype=float)
         extra = [0.75 - th / 2, 0.25 + th / 2] if rho < 0 else [0.5 - th / 2, 0.5 + th / 2]
         u = np.concatenate([u] + extra)
-        steps = np.append(0.0, s * 4.0 ** np.arange(math.ceil(math.log(1.0 / s, 4.0))))
+        if s > 0.0:
+            steps = np.append(0.0, s * 4.0 ** np.arange(math.ceil(math.log(1.0 / s, 4.0))))
     z = special.ndtri(u[(u > 0.0) & (u < 1.0)])[:, None]
     z = np.concatenate(([-_Z_LIMIT, _Z_LIMIT], (z + steps).ravel(), (z - steps).ravel()))
     return np.unique(np.clip(z, -_Z_LIMIT, _Z_LIMIT))
@@ -502,7 +506,8 @@ def _strip_sums(config: MgpConfig, thetas: list[float], a: np.ndarray, b: np.nda
     u = Phi(z) and v = Phi(rho z + sqrt(1 - rho^2) w). Each strip gets
     ``outer`` Gauss-Legendre nodes in z. For each of those, the w range is cut
     where v crosses an inner cut, each panel into ``split`` equal pieces
-    (per strip), and each piece gets ``inner`` nodes. One row per strip.
+    (per strip), and each piece gets ``inner`` nodes. At rho = +-1, where v
+    does not depend on w, every cut is at w = 0. One row per strip.
     """
     from scipy import special
 
@@ -521,8 +526,11 @@ def _strip_sums(config: MgpConfig, thetas: list[float], a: np.ndarray, b: np.nda
         for lo in range(0, len(z), step):
             zc = z[lo:lo + step]
             u = special.ndtr(zc)
-            w_cuts = (special.ndtri(np.clip(_inner_cuts(u, thetas), 0.0, 1.0))
-                      - rho * zc[:, None]) / s
+            if s > 0.0:
+                w_cuts = (special.ndtri(np.clip(_inner_cuts(u, thetas), 0.0, 1.0))
+                          - rho * zc[:, None]) / s
+            else:
+                w_cuts = np.zeros((len(zc), panels - 1))
             rim = np.full((len(zc), 1), _Z_LIMIT)
             edges = np.concatenate(
                 (-rim, np.sort(np.clip(w_cuts, -_Z_LIMIT, _Z_LIMIT), axis=1), rim), axis=1)
@@ -553,8 +561,10 @@ def _quadrature(config: MgpConfig, thetas: list[float]):
     """Expectations of the :func:`_integrands` columns, their error estimate
     and the strips used: ``(mean, err, (a, b, split))``.
 
-    The z range is first cut at :func:`_z_edges`. A strip whose
-    integrals change by more than ``_PANEL_TOL`` when the nodes in both
+    Every rho in [-1, 1] takes this path. The z range is first cut at
+    :func:`_z_edges`; at rho = +-1, where the copula's mass lies on a
+    diagonal, these are the points where the kink lines cross it. A strip
+    whose integrals change by more than ``_PANEL_TOL`` when the nodes in both
     coordinates are halved is refined: its w panels are cut into twice as
     many pieces (up to ``_MAX_SPLIT``) if halving the nodes in w alone
     changes them that much, and it is bisected if halving those in z does,
@@ -564,11 +574,7 @@ def _quadrature(config: MgpConfig, thetas: list[float]):
     points and summation order, so inequalities that hold between the
     integrands point by point hold between the results exactly.
     """
-    rho = config.copula.rho
-    if abs(rho) == 1.0:
-        raise DomainError("quadrature needs |rho| < 1; use population_bounds for "
-                          "the comonotone and countermonotone copulas")
-    edges = _z_edges(thetas, rho)
+    edges = _z_edges(thetas, config.copula.rho)
     a, b = edges[:-1], edges[1:]
     split = np.ones(len(a), dtype=int)
     n, h = QUADRATURE_NODES, QUADRATURE_NODES // 2
@@ -617,9 +623,9 @@ def population_bounds_quadrature(
     bounds when ``thetas`` is empty. Every theta uses the same nodes, so the
     refined intervals are nested in the worst case and monotone in theta
     exactly. The ``se_*`` fields hold the error estimate of the adaptive
-    piecewise Gauss-Legendre rule (see :func:`_quadrature`). Raises
-    ``DomainError`` at rho = +/-1, the comonotone and countermonotone
-    copulas.
+    piecewise Gauss-Legendre rule (see :func:`_quadrature`). Any rho in
+    [-1, 1] is covered, the comonotone and countermonotone copulas
+    included.
     """
     config = _as_config(config_or_name)
     thetas = [check_theta(t) for t in thetas]

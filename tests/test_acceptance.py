@@ -18,11 +18,11 @@ from taubounds import (
     CovariateScale,
     Dataset,
     MarginMode,
+    MgpConfig,
     SCENARIOS,
     analyze,
     clip,
     decide,
-    extremal_expectation,
     population_bounds,
     population_bounds_quadrature,
     refined,
@@ -106,9 +106,18 @@ def test_criterion_2_worst_case_brackets_zero(dgp_sweep):
 
 def test_criterion_3_extremal_constants():
     """Quadrature matches the degenerate-copula constants to 1e-9 and MC
-    sampling agrees to 3 sigma at 1e6 draws."""
-    q_max = extremal_expectation("comonotone", lambda u, v: max(u + v - 1.0, 0.0))
-    q_min = extremal_expectation("countermonotone", lambda u, v: min(u, v) - 1.0)
+    sampling agrees to 3 sigma at 1e6 draws.
+
+    Under gamma = 0 every pattern has probability 1/4, so the population
+    worst case is (E[max(u + v - 1, 0)] - 1, E[min(u, v)] + 1): the
+    constants E_M[max(u + v - 1, 0)] and E_W[min(u, v)] - 1 are its lower
+    end at rho = 1 plus 1 and its upper end at rho = -1 minus 2."""
+    def worst_case(copula):
+        config = MgpConfig(np.zeros((4, 2)), copula)
+        return population_bounds_quadrature(config)[0].worst_case
+
+    q_max = worst_case(CopulaSpec.comonotone()).lower + 1.0
+    q_min = worst_case(CopulaSpec.countermonotone()).upper - 2.0
     quad_ok = abs(q_max - 0.25) <= 1e-9 and abs(q_min + 0.75) <= 1e-9
 
     n = 1_000_000

@@ -266,13 +266,18 @@ class TestSimulateCommand:
         if rho == "1":
             assert np.array_equal(ds.y[complete], ds.x[complete])
 
-    def test_extremal_rho_bounds_output_writes_nothing(self, tmp_path, monkeypatch, capsys):
-        # the quadrature needs |rho| < 1, and is run before the CSV is written
+    @pytest.mark.parametrize("rho, worst_case", [("1", (-0.75, 1.5)), ("-1", (-1.0, 1.25))],
+                             ids=["comonotone", "countermonotone"])
+    def test_extremal_rho_bounds_output(self, tmp_path, monkeypatch, rho, worst_case):
+        # with gamma = 0 the worst case is (E[max(u + v - 1, 0)] - 1, E[min(u, v)] + 1)
         monkeypatch.chdir(tmp_path)
-        assert run_cli("simulate", "--rho", "1", "--gamma", "zeros", "--n", "10",
-                       "--output", "a.csv", "--bounds-output", "b.json") == 2
-        assert "rho" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        assert run_cli("simulate", "--rho", rho, "--gamma", "zeros", "--n", "10",
+                       "--output", "a.csv", "--bounds-output", "b.json") == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.json"]
+        payload = json.loads((tmp_path / "b.json").read_text())
+        got = payload["worst_case"]
+        assert got["lower"] == pytest.approx(worst_case[0], rel=0.0, abs=1e-12)
+        assert got["upper"] == pytest.approx(worst_case[1], rel=0.0, abs=1e-12)
 
     def test_scenario_conflicts_with_rho(self, tmp_path):
         assert run_cli("simulate", "--scenario", "P1", "--rho", "0.2",

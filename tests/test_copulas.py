@@ -9,10 +9,10 @@ from scipy import stats
 from taubounds import (
     CopulaSpec,
     DomainError,
-    QuadratureError,
+    MgpConfig,
     constrained_lower,
     constrained_upper,
-    extremal_expectation,
+    population_bounds_quadrature,
     sample_copula,
 )
 
@@ -164,23 +164,21 @@ class TestSampling:
             sample_copula(CopulaSpec.independence(), 0, seed=1)
 
 
-def _w_surface(u, v):
-    return max(u + v - 1.0, 0.0)
-
-
-def _m_surface(u, v):
-    return min(u, v)
+def _worst_case(rho):
+    """The population worst case under gamma = 0, where every pattern has
+    probability 1/4: its endpoints are E_C[max(u + v - 1, 0)] - 1 and
+    E_C[min(u, v)] + 1 under the Gaussian copula C with this rho."""
+    config = MgpConfig(np.zeros((4, 2)), CopulaSpec.gaussian(rho))
+    return population_bounds_quadrature(config)[0].worst_case
 
 
 class TestExtremalExpectation:
     def test_known_constants(self):
-        assert extremal_expectation("comonotone", _w_surface) == pytest.approx(
-            0.25, abs=1e-9)
-        assert extremal_expectation("countermonotone",
-                                    lambda u, v: min(u, v) - 1.0) == pytest.approx(
-            -0.75, abs=1e-9)
-        assert extremal_expectation("comonotone", _m_surface) == pytest.approx(
-            0.5, abs=1e-9)
+        comonotone, countermonotone = _worst_case(1.0), _worst_case(-1.0)
+        # E_M[max(u + v - 1, 0)] = 1/4, E_W[min(u, v)] - 1 = -3/4, E_M[min(u, v)] = 1/2
+        assert comonotone.lower + 1.0 == pytest.approx(0.25, abs=1e-9)
+        assert countermonotone.upper - 2.0 == pytest.approx(-0.75, abs=1e-9)
+        assert comonotone.upper - 1.0 == pytest.approx(0.5, abs=1e-9)
 
     def test_mc_agrees_with_quadrature(self):
         # degenerate-copula sampling must reproduce the quadrature values
@@ -196,22 +194,12 @@ class TestExtremalExpectation:
         assert abs(vals.mean() - (-0.75)) < 3 * se
 
     @pytest.mark.parametrize("rho", [-0.9, 0.3, 0.99])
-    @pytest.mark.parametrize("surface", [_w_surface, _m_surface])
-    def test_extremal_ordering(self, rho, surface):
+    # the worst case's lower end integrates max(u + v - 1, 0), its upper min(u, v)
+    @pytest.mark.parametrize("side", ["lower", "upper"], ids=["_w_surface", "_m_surface"])
+    def test_extremal_ordering(self, rho, side):
         # supermodular integrands: any copula's mean lies between the extremes
-        n = 200_000
-        uv = sample_copula(CopulaSpec.gaussian(rho), n, seed=31)
-        vec = np.vectorize(surface)(uv[:, 0], uv[:, 1])
-        se = vec.std(ddof=1) / math.sqrt(n)
-        low = extremal_expectation("countermonotone", surface)
-        high = extremal_expectation("comonotone", surface)
-        assert low - 3 * se <= vec.mean() <= high + 3 * se
-
-    def test_rejects_other_kinds(self):
-        with pytest.raises(DomainError):
-            extremal_expectation("independence", _m_surface)
-
-    def test_nonconvergence_reported(self):
-        with pytest.raises(QuadratureError):
-            extremal_expectation("comonotone",
-                                 lambda u, v: math.sin(1.0 / (u + 1e-14)))
+        low, mid, high = (_worst_case(r) for r in (-1.0, rho, 1.0))
+        values = [getattr(i, side) for i in (low, mid, high)]
+        errors = [getattr(i, f"se_{side}") for i in (low, mid, high)]
+        assert values[0] <= values[1] + errors[0] + errors[1]
+        assert values[1] <= values[2] + errors[1] + errors[2]

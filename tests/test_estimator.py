@@ -1,6 +1,7 @@
 """Tests for the plug-in estimator: summaries, margin modes, analysis reports."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -19,12 +20,16 @@ from taubounds import (
     MarginTableError,
     MgpConfig,
     SCENARIOS,
+    ThetaMismatchWarning,
     ThetaSummary,
+    TiedDataWarning,
     UnsupportedAnalysisError,
     analyze,
     envelope_summary,
     marginal_cdf_bounds,
     population_bounds,
+    population_bounds_quadrature,
+    population_bounds_sweep,
     sample_copula,
     simulate_dataset,
     summarize,
@@ -116,8 +121,6 @@ class TestSummarize:
                 summarize(ds, MarginMode.unknown(), theta=theta)
 
     def test_ties_warn_but_proceed(self):
-        from taubounds.errors import TiedDataWarning
-
         ds = Dataset.from_records([(0.5, 0.1), (0.5, 0.9), (0.2, None)])
         with pytest.warns(TiedDataWarning):
             s = summarize(ds, UNIFORM)
@@ -324,3 +327,25 @@ class TestAnalyze:
         jsonschema.validate(single, schema)
         for block in (single["worst_case"], single["refined"]):
             assert block["se"] == {"lower": None, "upper": None}
+
+
+TIED = Dataset.from_records([(0.5, 0.1), (0.5, 0.9), (0.2, 0.9), (0.3, None)])
+
+
+@pytest.mark.parametrize("call, category", [
+    (lambda: analyze(TIED, UNIFORM), TiedDataWarning),
+    (lambda: summarize(TIED, UNIFORM), TiedDataWarning),
+    (lambda: envelope_summary(TIED), TiedDataWarning),
+    (lambda: population_bounds("P1", theta=0.4, draws=10_000), ThetaMismatchWarning),
+    (lambda: population_bounds_sweep("P1", [0.4], draws=10_000), ThetaMismatchWarning),
+    (lambda: population_bounds_quadrature("P1", [0.4]), ThetaMismatchWarning),
+], ids=["analyze", "summarize", "envelope_summary", "population_bounds",
+        "population_bounds_sweep", "population_bounds_quadrature"])
+def test_warnings_point_at_the_caller(call, category):
+    # Python shows a warning once per location: one inside the package would
+    # hide the warning from every call site but the first
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    assert [w.category for w in caught] == [category] * len(caught) and caught
+    assert {w.filename for w in caught} == {__file__}

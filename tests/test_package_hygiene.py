@@ -1,9 +1,11 @@
-"""Every name a package module imports is used, exported or marked as kept.
+"""Every name a package module imports is used, exported or marked as kept,
+and scipy is loaded only as ``scipy.special``, on first use.
 
-A stand-in for a linter's unused-import rule (F401), written with ``ast``
-alone: a name imported by a module under ``src/taubounds`` must be read in
-that module, listed in its ``__all__``, or imported on a line marked
-``# noqa: F401``.
+The first check stands in for a linter's unused-import rule (F401), written
+with ``ast`` alone: a name imported by a module under ``src/taubounds`` must
+be read in that module, listed in its ``__all__``, or imported on a line
+marked ``# noqa: F401``. The second pins the README's install note: every
+scipy import is ``from scipy import special`` inside a function body.
 """
 
 import ast
@@ -64,3 +66,47 @@ def test_every_import_is_used(path):
 ])
 def test_scan_flags_only_unused_names(source, unused):
     assert unused_imports(source) == unused
+
+
+def scipy_import_faults(source):
+    """Lines of scipy imports other than ``from scipy import special`` in a
+    function body."""
+    tree = ast.parse(source)
+    in_function = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)}
+    faults = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        if "scipy" not in {m.partition(".")[0] for m in modules}:
+            continue
+        special = isinstance(node, ast.ImportFrom) and node.module == "scipy" \
+            and [(a.name, a.asname) for a in node.names] == [("special", None)]
+        if not (special and id(node) in in_function):
+            faults.append(node.lineno)
+    return faults
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_scipy_is_special_and_imported_on_use(path):
+    assert scipy_import_faults(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source, faults", [
+    ("def f():\n    from scipy import special\n", []),
+    ("from scipy import special\n", [1]),
+    ("def f():\n    from scipy import integrate\n", [2]),
+    ("def f():\n    from scipy import special, stats\n", [2]),
+    ("def f():\n    from scipy import special as sp\n", [2]),
+    ("def f():\n    from scipy.special import ndtr\n", [2]),
+    ("def f():\n    import scipy.special\n", [2]),
+    ("class A:\n    from scipy import special\n", [2]),
+    ("import scipyx\nfrom numpy import special\n", []),
+])
+def test_scipy_scan_flags_other_imports(source, faults):
+    assert scipy_import_faults(source) == faults

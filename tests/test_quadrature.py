@@ -1,6 +1,7 @@
 """The quadrature engine for population bounds, against the Monte Carlo oracle
 and against its own exactness properties."""
 
+import functools
 import math
 import warnings
 
@@ -11,12 +12,14 @@ from taubounds import (
     SCENARIOS,
     CopulaSpec,
     CovariateScale,
-    DomainError,
     MgpConfig,
     ThetaMismatchWarning,
+    constrained_lower,
+    constrained_upper,
     median_joint_prob,
     population_bounds_quadrature,
     population_bounds_sweep,
+    true_tau,
 )
 from taubounds.mgp import _assemble, _quadrature, _strip_sums, _z_edges
 
@@ -96,9 +99,10 @@ def test_doubling_the_nodes_changes_nothing(config, thetas):
     assert np.all(err >= difference)
 
 
-@pytest.mark.parametrize("rho", [-(1.0 - 1e-6), 1.0 - 1e-6, 1.0 - 1e-12])
+@pytest.mark.parametrize("rho", [-1.0, -(1.0 - 1e-6), 1.0 - 1e-6, 1.0 - 1e-12, 1.0])
 def test_narrow_ridge(rho):
-    """Near rho = +-1 the mass lies within sqrt(1 - rho^2) of a diagonal."""
+    """Near rho = +-1 the mass lies within sqrt(1 - rho^2) of a diagonal, and
+    at rho = +-1 on it."""
     config = MgpConfig(np.array(SCENARIOS["P2"].gamma), CopulaSpec.gaussian(rho))
     for thetas in ([], [0.1]):
         mean, err, _ = _quadrature(config, thetas)
@@ -188,7 +192,98 @@ def test_independence_is_gaussian_at_zero():
     assert a.engine == "quadrature" and a.draws is None and a.seed is None
 
 
-@pytest.mark.parametrize("copula", [CopulaSpec.comonotone(), CopulaSpec.countermonotone()])
-def test_extremal_copulas_rejected(copula):
-    with pytest.raises(DomainError):
-        population_bounds_quadrature(MgpConfig(np.zeros((4, 2)), copula), [0.25])
+# ---------------------------------------------------------------------------
+# the envelope copulas: rho = 1 (M) and rho = -1 (W)
+
+ENVELOPES = [CopulaSpec.comonotone(), CopulaSpec.countermonotone()]
+ENVELOPE_THETAS = [0.1, 0.25, 0.4, 0.5]
+# with gamma = 0 every pattern has probability 1/4, so the tau bounds are
+# E[surface] + 1 (upper) and E[surface] - 1 (lower) along the (anti)diagonal:
+# rho: (worst case, refined interval per theta in ENVELOPE_THETAS)
+CLOSED_FORMS = {
+    1.0: ((-0.75, 1.5), [(-0.745, 1.34), (-0.71875, 1.4375), (-0.67, 1.49),
+                         (-0.625, 1.5)]),
+    -1.0: ((-1.0, 1.25), [(-0.99, 1.17), (-0.9375, 1.21875), (-0.84, 1.245),
+                          (-0.75, 1.25)]),
+}
+
+
+def _along_support(rho, upper, lower):
+    """The (lower, upper) tau bounds of gamma = 0 from surfaces integrated
+    along the support of the envelope copula, v = u (rho = 1) or v = 1 - u."""
+    from scipy import integrate
+
+    def mean(surface):
+        # the surfaces are linear between these points, where they kink
+        kinks = sorted({0.5, *(k for th in ENVELOPE_THETAS for k in (
+            th, 1 - th, 0.5 - th, 0.5 + th, 0.5 - th / 2, 0.5 + th / 2,
+            0.25 + th / 2, 0.75 - th / 2))})
+        value, _ = integrate.quad(lambda u: surface(u, u if rho > 0 else 1.0 - u),
+                                  0.0, 1.0, points=kinks, epsabs=1e-14, limit=200)
+        return value
+
+    return mean(lower) - 1.0, mean(upper) + 1.0
+
+
+@pytest.mark.parametrize("rho", [1.0, -1.0])
+def test_envelope_closed_forms(rho):
+    worst, refined = CLOSED_FORMS[rho]
+    # the table against the surfaces themselves
+    exact = [_along_support(rho, min, lambda u, v: max(u + v - 1.0, 0.0))]
+    exact += [_along_support(rho, functools.partial(constrained_upper, th),
+                             functools.partial(constrained_lower, th))
+              for th in ENVELOPE_THETAS]
+    assert np.allclose(exact, [worst] + refined, rtol=0.0, atol=1e-12)
+
+    config = MgpConfig(np.zeros((4, 2)), CopulaSpec.gaussian(rho))
+    results = population_bounds_quadrature(config, ENVELOPE_THETAS,
+                                           warn_on_theta_mismatch=False)
+    intervals = [results[0].worst_case] + [r.refined for r in results]
+    for interval, (lower, upper) in zip(intervals, [worst] + refined):
+        assert abs(interval.lower - lower) <= min(1e-12, interval.se_lower)
+        assert abs(interval.upper - upper) <= min(1e-12, interval.se_upper)
+        assert max(interval.se_lower, interval.se_upper) <= 1e-6
+
+
+@pytest.mark.parametrize("scale", list(CovariateScale))
+@pytest.mark.parametrize("rho", [1.0, -1.0])
+def test_envelopes_continue_the_family(rho, scale):
+    """The values at rho = +-1 are the limits of those just inside."""
+    gamma = np.array(SCENARIOS["P2"].gamma)
+    near = 1.0 - 1e-12
+    s = math.sqrt(1.0 - near * near)  # 1.4e-6, the ridge width just inside
+    at, _, _ = _quadrature(MgpConfig(gamma, CopulaSpec.gaussian(rho), scale), [0.1, 0.4])
+    inside, _, _ = _quadrature(MgpConfig(gamma, CopulaSpec.gaussian(rho * near), scale),
+                               [0.1, 0.4])
+    assert np.abs(at - inside).max() <= s
+
+
+@pytest.mark.parametrize("scale", list(CovariateScale))
+def test_envelopes_agree_with_monte_carlo(scale):
+    thetas = [0.0] + ENVELOPE_THETAS
+    # P2 and P3 share their gamma rows
+    gammas = dict.fromkeys(SCENARIOS[name].gamma for name in ("P1", "P2", "P3"))
+    cases = [MgpConfig(np.array(gamma), copula, scale)
+             for gamma in gammas for copula in ENVELOPES]
+    for seed, config in enumerate(cases):
+        mc = population_bounds_sweep(config, thetas, draws=2_000_000, seed=seed,
+                                     warn_on_theta_mismatch=False)
+        quad = population_bounds_quadrature(config, thetas, warn_on_theta_mismatch=False)
+        for q, qe, m, me in _endpoint_pairs(quad, mc):
+            assert abs(q - m) <= 4.0 * math.hypot(qe, me)
+
+
+@pytest.mark.parametrize("scale", list(CovariateScale))
+@pytest.mark.parametrize("copula", ENVELOPES, ids=["comonotone", "countermonotone"])
+def test_envelope_properties_exact(copula, scale):
+    thetas = [0.0] + ENVELOPE_THETAS
+    for name in ("P1", "P2"):
+        config = MgpConfig(np.array(SCENARIOS[name].gamma), copula, scale)
+        quad = population_bounds_quadrature(config, thetas, warn_on_theta_mismatch=False)
+        wc = quad[0].worst_case
+        assert wc.lower <= min(0.0, true_tau(config)) and wc.upper >= max(0.0, true_tau(config))
+        for result in quad:
+            assert wc.lower <= result.refined.lower <= result.refined.upper <= wc.upper
+        for a, b in zip(quad, quad[1:]):
+            assert a.refined.lower <= b.refined.lower
+            assert a.refined.upper <= b.refined.upper
