@@ -286,11 +286,13 @@ def decide(interval: TauInterval, se_guard: float = 0.0) -> Decision:
     anything else is inconclusive. ``se_guard`` widens the interval by
     that many standard errors first (requires the interval to carry SEs);
     the default applies the population rule with no tolerance band. A
-    negative or NaN guard raises ``ValueError``; a NaN SE (estimation gives
-    one only at n = 1) makes the decision inconclusive under any guard > 0.
+    negative, infinite or NaN guard raises ``ValueError``; a NaN SE
+    (estimation gives one only at n = 1) makes the decision inconclusive
+    under any guard > 0.
     """
-    if not se_guard >= 0:
-        raise ValueError(f"se_guard must be a nonnegative number, got {se_guard!r}")
+    if not 0 <= se_guard < math.inf:
+        raise ValueError(f"se_guard must be a nonnegative number below infinity, "
+                         f"got {se_guard!r}")
     lower, upper = interval.lower, interval.upper
     if se_guard:
         if interval.se_lower is None or interval.se_upper is None:

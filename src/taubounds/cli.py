@@ -12,12 +12,10 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import importlib.resources
 import json
 import sys
 import warnings
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -52,26 +50,6 @@ def _dump_json(obj, path=None) -> None:
             fh.write(text)
 
 
-@functools.cache
-def _report_validator():
-    """Validator for report_schema.json, built on first use and then kept."""
-    with importlib.resources.files("taubounds").joinpath("report_schema.json").open(
-            "r", encoding="utf-8") as fh:
-        schema = json.load(fh)
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
-
-
-def _validated_report(report) -> dict:
-    """The report's JSON payload; raises what ``jsonschema.validate`` would."""
-    payload = report.to_report_dict()
-    error = jsonschema.exceptions.best_match(_report_validator().iter_errors(payload))
-    if error is not None:
-        raise error
-    return payload
-
-
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -103,7 +81,7 @@ def _cmd_analyze(args) -> int:
     margins = _margins_from_args(args)
     report = analyze(dataset, margins, theta=args.theta,
                      se_guard=args.se_guard, seed=args.seed)
-    payload = _validated_report(report)
+    payload = report.to_report_dict()
 
     if args.output is not None:
         _dump_json(payload, args.output)

@@ -210,11 +210,6 @@ class AnalysisReport:
     seed: int
     tool_version: str
 
-    def decisive_interval(self) -> TauInterval:
-        """The clipped interval the decision is based on (refined when present)."""
-        return self.refined_clipped if self.refined_clipped is not None \
-            else self.worst_case_clipped
-
     def to_report_dict(self) -> dict:
         """Serialisable report matching the published JSON schema."""
         def num(value):
@@ -237,6 +232,7 @@ class AnalysisReport:
             "refined": (None if self.refined_raw is None
                         else block(self.refined_raw, self.refined_clipped)),
             "decision": self.decision.value,
+            "se_guard": float(self.se_guard),
             "margins_mode": self.margins.kind.value,
             "theta": num(self.theta),
             "seed": self.seed,

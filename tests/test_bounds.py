@@ -1,11 +1,11 @@
 """Tests for the interval algebra, CDF envelopes, and decisions."""
 
-import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from conftest import checked_report
 from scipy import integrate
 
 from taubounds import (
@@ -236,7 +236,7 @@ class TestClipAndDecide:
         with pytest.raises(ValueError):
             decide(bare, se_guard=1.0)
 
-    @pytest.mark.parametrize("guard", [math.nan, -1.0, -math.inf])
+    @pytest.mark.parametrize("guard", [math.nan, -1.0, -math.inf, math.inf])
     def test_decide_rejects_nan_and_negative_guards(self, guard):
         interval = TauInterval(0.01, 0.5, IntervalKind.REFINED,
                                se_lower=0.02, se_upper=0.02)
@@ -400,7 +400,7 @@ class TestTinySamples:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TiedDataWarning)
             report = analyze(records, getattr(MarginMode, margins)(), theta=theta)
-        decisive = report.decisive_interval()
+        decisive = report.worst_case_clipped if theta is None else report.refined_clipped
         assert (decisive.lower, decisive.upper) == (1.0, 1.0)
         assert report.decision is Decision.DEPENDENCE_POSITIVE
         assert report.worst_case_raw.lower <= report.worst_case_raw.upper
@@ -413,7 +413,7 @@ class TestTinySamples:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TiedDataWarning)
             assert main(argv + ([] if theta is None else ["--theta", repr(theta)])) == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = checked_report(capsys.readouterr().out)
         decisive = payload["refined"] or payload["worst_case"]
         assert decisive["clipped"] == {"lower": 1.0, "upper": 1.0}
         assert payload["decision"] == "dependence_positive"

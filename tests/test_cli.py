@@ -6,14 +6,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
-import jsonschema
 import numpy as np
 import pytest
+from conftest import checked_report
 
-from taubounds import MarginMode, analyze, cli, population_bounds, read_csv, write_csv, Dataset
+from taubounds import (CopulaSpec, Dataset, cli, population_bounds, read_csv,
+                       sample_copula, write_csv)
 from taubounds.cli import main
 
 
@@ -45,7 +45,7 @@ class TestAnalyzeCommand:
                        "--seed", "3", "--output", str(data)) == 0
         assert run_cli("analyze", "--input", str(data), "--margins", "uniform01",
                        "--theta", "0.4", "--output", str(report)) == 0
-        payload = json.loads(report.read_text())
+        payload = checked_report(report.read_text())
         assert payload["n"] == 5000
         assert payload["margins_mode"] == "uniform01"
         assert payload["theta"] == 0.4
@@ -61,26 +61,9 @@ class TestAnalyzeCommand:
         capsys.readouterr()  # drop the simulate status line
         assert run_cli("analyze", "--input", str(data), "--margins", "unknown",
                        "--format", "json") == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = checked_report(capsys.readouterr().out)
         assert payload["margins_mode"] == "unknown"
         assert payload["refined"] is None
-
-    def test_report_validator_raises_what_jsonschema_validate_raises(self, tmp_path):
-        data = tmp_path / "data.csv"
-        run_cli("simulate", "--scenario", "P3", "--n", "300", "--seed", "2",
-                "--output", str(data))
-        report = analyze(read_csv(data), MarginMode.uniform01(), theta=0.4)
-        assert cli._validated_report(report) == report.to_report_dict()
-        payload = report.to_report_dict()
-        payload["decision"] = "maybe"
-        del payload["n"]
-        with pytest.raises(jsonschema.ValidationError) as expected:
-            jsonschema.validate(payload, json.loads(
-                (Path(cli.__file__).parent / "report_schema.json").read_text()))
-        with pytest.raises(jsonschema.ValidationError) as got:
-            cli._validated_report(SimpleNamespace(to_report_dict=lambda: payload))
-        assert str(got.value) == str(expected.value)
-        assert cli._report_validator() is cli._report_validator()
 
     def test_empty_input_exit_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
@@ -126,8 +109,30 @@ class TestAnalyzeCommand:
         data.write_text("x,y\n0.1,0.9\n0.9,0.1\n0.3,0.7\n0.7,0.3\n", encoding="utf-8")
         args = ("analyze", "--input", str(data), "--theta", "0", "--format", "json")
         assert run_cli(*args, "--se-guard", "0") == 0
-        assert json.loads(capsys.readouterr().out)["decision"] == "dependence_negative"
+        assert checked_report(capsys.readouterr().out)["decision"] == "dependence_negative"
         assert run_cli(*args, "--se-guard", "nan") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "se_guard must be a nonnegative number" in captured.err
+
+    def test_report_records_its_guard(self, tmp_path, capsys):
+        # 50 complete rows of a rho = 0.9 copula: the guard alone turns the
+        # decision, so each report must say which guard it applied
+        uv = sample_copula(CopulaSpec.gaussian(0.9), 50, seed=7)
+        data = tmp_path / "data.csv"
+        write_csv(Dataset(uv[:, 0], uv[:, 1]), data)
+        args = ("analyze", "--input", str(data), "--theta", "0.45", "--format", "json")
+        reports = {}
+        for guard in ("0", "3"):
+            assert run_cli(*args, "--se-guard", guard) == 0
+            reports[guard] = checked_report(capsys.readouterr().out)
+        assert (reports["0"]["decision"], reports["0"]["se_guard"]) \
+            == ("dependence_positive", 0.0)
+        assert (reports["3"]["decision"], reports["3"]["se_guard"]) == ("inconclusive", 3.0)
+        assert {k for k in reports["0"] if reports["0"][k] != reports["3"][k]} \
+            == {"decision", "se_guard"}
+        # an infinite guard would serialise as Infinity, which is not JSON
+        assert run_cli(*args, "--se-guard", "inf") == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "se_guard must be a nonnegative number" in captured.err
@@ -142,7 +147,7 @@ class TestAnalyzeCommand:
         report = tmp_path / "report.json"
         assert run_cli("analyze", "--input", str(data), "--theta", "0.4",
                        "--se-guard", "2", "--output", str(report)) == 0
-        payload = json.loads(report.read_text())
+        payload = checked_report(report.read_text())
         assert payload["pattern_counts"] == [1, 100, 0, 50]
         for block in ("worst_case", "refined"):
             for side in ("lower", "upper"):
@@ -166,8 +171,8 @@ class TestAnalyzeCommand:
                        "--output", str(out_a)) == 0
         assert run_cli("analyze", "--input", str(data), "--margins", "uniform01",
                        "--output", str(out_b)) == 0
-        a = json.loads(out_a.read_text())
-        b = json.loads(out_b.read_text())
+        a = checked_report(out_a.read_text())
+        b = checked_report(out_b.read_text())
         assert a["worst_case"] == b["worst_case"]
 
     def test_from_file_requires_both_tables(self, tmp_path, capsys):
@@ -452,9 +457,9 @@ class TestRepeatedCalls:
         capsys.readouterr()
         base = ("analyze", "--input", str(data), "--format", "json")
         assert run_cli(*base, "--theta", "0.4") == 0
-        assert json.loads(capsys.readouterr().out)["theta"] == 0.4
+        assert checked_report(capsys.readouterr().out)["theta"] == 0.4
         assert run_cli(*base) == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = checked_report(capsys.readouterr().out)
         assert payload["theta"] is None and payload["refined"] is None
 
     def test_margins_do_not_carry_over(self, data, tmp_path, capsys):
@@ -464,9 +469,9 @@ class TestRepeatedCalls:
         base = ("analyze", "--input", str(data), "--format", "json")
         assert run_cli(*base, "--margins", "from-file",
                        "--x-cdf", str(table), "--y-cdf", str(table)) == 0
-        assert json.loads(capsys.readouterr().out)["margins_mode"] == "from_file"
+        assert checked_report(capsys.readouterr().out)["margins_mode"] == "from_file"
         assert run_cli(*base, "--margins", "unknown") == 0
-        assert json.loads(capsys.readouterr().out)["margins_mode"] == "unknown"
+        assert checked_report(capsys.readouterr().out)["margins_mode"] == "unknown"
 
     def test_bounds_output_does_not_carry_over(self, tmp_path, capsys):
         base = ("simulate", "--scenario", "P3", "--n", "50", "--seed", "1")
@@ -516,16 +521,19 @@ class TestRepeatedCalls:
         assert run_child("-c", code, json.dumps(paths)) == "3 0\n"
 
 
-# the scipy modules an interpreter has loaded, as a Python expression
-_SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+# the scipy and jsonschema modules an interpreter has loaded, as a Python
+# expression
+_HEAVY_LOADED = ("sorted(m for m in sys.modules "
+                 "if m.split('.')[0] in ('scipy', 'jsonschema'))")
 
 
 class TestColdStart:
-    """scipy is loaded only by the functions that call it."""
+    """scipy is loaded only by the functions that call it, and jsonschema,
+    which only the tests use, not at all."""
 
     def test_parser_loads_no_scipy(self):
         code = ("import sys, taubounds, taubounds.cli\n"
-                f"taubounds.cli.build_parser()\nprint({_SCIPY_LOADED})")
+                f"taubounds.cli.build_parser()\nprint({_HEAVY_LOADED})")
         assert run_child("-c", code) == "[]\n"
 
     def test_analyze_loads_no_scipy(self, tmp_path):
@@ -547,8 +555,8 @@ class TestColdStart:
                 "from taubounds.cli import main\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-                f"print(codes, {_SCIPY_LOADED})")
-        # every call exits 0 and none loads scipy
+                f"print(codes, {_HEAVY_LOADED})")
+        # every call exits 0 and none loads scipy or jsonschema
         assert run_child("-c", code, json.dumps(calls)) == f"{[0] * len(calls)} []\n"
 
     def test_cold_runs_write_what_warm_ones_do(self, tmp_path, capsys):

@@ -6,6 +6,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import checked_report
+from hypothesis import example, given, settings, strategies as st
 
 from taubounds import (
     CdfTable,
@@ -242,12 +244,12 @@ class TestAnalyze:
             analyze(ds, MarginMode.unknown(), theta=0.4)
 
     def test_decision_uses_refined_interval(self):
-        # complete comonotone-ish data with theta = 0.5 keeps the worst-case
-        # lower bound at zero; a tighter synthetic check uses the summary path
-        ds = simulate_dataset(SCENARIOS["P2"].config(), 50_000, seed=13)
-        report = analyze(ds, UNIFORM, theta=0.4)
-        assert report.refined_clipped is not None
-        assert report.decisive_interval() == report.refined_clipped
+        # 50 complete rows of a rho = 0.9 copula: the worst case straddles
+        # zero, the refined interval at theta = 0.45 lies above it
+        uv = sample_copula(CopulaSpec.gaussian(0.9), 50, seed=7)
+        report = analyze(Dataset(uv[:, 0], uv[:, 1]), UNIFORM, theta=0.45)
+        assert report.worst_case_clipped.lower < 0.0 < report.refined_clipped.lower
+        assert report.decision is Decision.DEPENDENCE_POSITIVE
         assert report.summary.__class__ is ThetaSummary
 
     def test_plug_in_tracks_population_decision(self):
@@ -306,27 +308,47 @@ class TestAnalyze:
         assert decide(interval, se_guard=3.0) is Decision.INCONCLUSIVE
 
     def test_report_dict_schema_and_nan_handling(self):
-        import importlib.resources
-        import json
-
-        import jsonschema
-
         ds = Dataset.from_records([(0.5, 0.5), (0.3, None), (None, 0.8),
                                    (None, None)])
         report = analyze(ds, UNIFORM, theta=0.25)
-        payload = report.to_report_dict()
-        with importlib.resources.files("taubounds").joinpath(
-                "report_schema.json").open("r", encoding="utf-8") as fh:
-            schema = json.load(fh)
-        jsonschema.validate(payload, schema)
+        payload = checked_report(report.to_report_dict())
         assert payload["worst_case"]["se"]["lower"] == 0.0  # one row per pattern
         assert payload["refined"] is not None
         assert payload["decision"] == report.decision.value
         # an SE is undefined only at n = 1, where NaN becomes null
-        single = analyze([(0.5, 0.5)], UNIFORM, theta=0.25).to_report_dict()
-        jsonschema.validate(single, schema)
+        single = checked_report(analyze([(0.5, 0.5)], UNIFORM, theta=0.25).to_report_dict())
         for block in (single["worst_case"], single["refined"]):
             assert block["se"] == {"lower": None, "upper": None}
+
+
+IDENTITY = CdfTable(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+MARGINS = {"uniform01": UNIFORM, "from_file": MarginMode.from_tables(IDENTITY, IDENTITY),
+           "unknown": MarginMode.unknown()}
+# cells at 0, 1/2 and 1 tie; None is a missing cell
+CELLS = st.one_of(st.none(), st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=st.lists(st.tuples(CELLS, CELLS), min_size=1, max_size=40),
+       margins=st.sampled_from(sorted(MARGINS)),
+       theta=st.one_of(st.none(), st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
+       se_guard=st.one_of(st.just(0.0), st.floats(0.1, 5.0)))
+# n = 1, whose SEs are null; a raw interval above 1, clipped to (1, 1) with a
+# positive decision; a negative decision; all-missing rows, inconclusive
+@example(records=[(0.5, 0.5)], margins="uniform01", theta=0.25, se_guard=2.0)
+@example(records=[(0.9623, 0.7389)], margins="from_file", theta=0.4, se_guard=0.0)
+@example(records=[(0.1, 0.9), (0.9, 0.1), (0.3, 0.7), (0.7, 0.3)], margins="uniform01",
+         theta=0.0, se_guard=0.0)
+@example(records=[(None, None)] * 3, margins="unknown", theta=None, se_guard=0.0)
+def test_report_passes_schema_as_strict_json(records, margins, theta, se_guard):
+    """Every report ``analyze`` builds passes report_schema.json and is strict JSON."""
+    # refined bounds need known margins
+    theta = None if margins == "unknown" else theta
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TiedDataWarning)
+        report = analyze(Dataset.from_records(records), MARGINS[margins], theta=theta,
+                         se_guard=se_guard)
+    assert checked_report(report.to_report_dict())["se_guard"] == se_guard
 
 
 TIED = Dataset.from_records([(0.5, 0.1), (0.5, 0.9), (0.2, 0.9), (0.3, None)])

@@ -1,14 +1,19 @@
 """Every name a package module imports is used, exported or marked as kept,
-and scipy is loaded only as ``scipy.special``, on first use.
+scipy is loaded only as ``scipy.special``, on first use, and the package
+imports and declares no third-party module but numpy and scipy.
 
 The first check stands in for a linter's unused-import rule (F401), written
 with ``ast`` alone: a name imported by a module under ``src/taubounds`` must
 be read in that module, listed in its ``__all__``, or imported on a line
 marked ``# noqa: F401``. The second pins the README's install note: every
-scipy import is ``from scipy import special`` inside a function body.
+scipy import is ``from scipy import special`` inside a function body. The
+third keeps ``pyproject.toml``'s runtime dependencies equal to the
+third-party modules the package imports.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -110,3 +115,42 @@ def test_scipy_is_special_and_imported_on_use(path):
 ])
 def test_scipy_scan_flags_other_imports(source, faults):
     assert scipy_import_faults(source) == faults
+
+
+RUNTIME_DEPENDENCIES = {"numpy", "scipy"}
+
+
+def third_party_imports(source):
+    """Top-level names of the modules a source imports, relative and
+    standard-library ones aside."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module)
+    return {m.partition(".")[0] for m in modules} - sys.stdlib_module_names
+
+
+def test_package_imports_only_its_dependencies():
+    imported = set().union(*(third_party_imports(p.read_text(encoding="utf-8"))
+                             for p in MODULES))
+    assert imported == RUNTIME_DEPENDENCIES
+
+
+def test_pyproject_declares_only_imported_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    declared = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"]
+    assert {re.match(r"[\w.-]+", d).group().lower() for d in declared} \
+        == RUNTIME_DEPENDENCIES
+
+
+@pytest.mark.parametrize("source, modules", [
+    ("import numpy as np\nfrom scipy import special\n", {"numpy", "scipy"}),
+    ("def f():\n    import jsonschema.validators\n", {"jsonschema"}),
+    ("from __future__ import annotations\nimport json, importlib.resources\n", set()),
+    ("from . import errors\nfrom .bounds import clip\n", set()),
+])
+def test_third_party_scan(source, modules):
+    assert third_party_imports(source) == modules
