@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .bounds import (
     Decision,
     DistSummary,
-    IntervalKind,
     StepFunction,
     SteppedCdfBounds,
     TauInterval,
@@ -65,7 +64,7 @@ from .mgp import (
 
 __all__ = [
     "__version__",
-    "Decision", "DistSummary", "IntervalKind", "StepFunction", "SteppedCdfBounds",
+    "Decision", "DistSummary", "StepFunction", "SteppedCdfBounds",
     "TauInterval", "ThetaSummary", "clip", "decide", "envelope_summary",
     "marginal_cdf_bounds", "refined", "worst_case",
     "HAVE_COMPILED_KERNEL", "kendall_tau",

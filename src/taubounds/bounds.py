@@ -32,7 +32,6 @@ from .errors import InvalidSummaryError, TiedDataWarning, _warn
 
 __all__ = [
     "Decision",
-    "IntervalKind",
     "TauInterval",
     "DistSummary",
     "ThetaSummary",
@@ -50,11 +49,6 @@ _SIMPLEX_TOL = 1e-12
 _MOMENT_TOL = 1e-12
 
 
-class IntervalKind(enum.Enum):
-    WORST_CASE = "worst_case"
-    REFINED = "refined"
-
-
 class Decision(enum.Enum):
     DEPENDENCE_POSITIVE = "dependence_positive"
     DEPENDENCE_NEGATIVE = "dependence_negative"
@@ -63,12 +57,10 @@ class Decision(enum.Enum):
 
 @dataclass(frozen=True)
 class TauInterval:
-    """A lower/upper pair for tau with provenance and optional standard errors."""
+    """A lower/upper pair for tau with optional standard errors."""
 
     lower: float
     upper: float
-    kind: IntervalKind
-    clipped: bool = False
     se_lower: float | None = None
     se_upper: float | None = None
 
@@ -82,8 +74,6 @@ class TauInterval:
         if self.lower > self.upper:
             raise InvalidSummaryError(
                 f"lower {self.lower} exceeds upper {self.upper}")
-        if self.clipped and (self.lower < -1.0 or self.upper > 1.0):
-            raise InvalidSummaryError("clipped interval must lie inside [-1, 1]")
 
 
 def _check_moment(name: str, value, p: float):
@@ -174,8 +164,7 @@ class ThetaSummary:
                     "above the unconstrained one")
 
 
-def _interval(kind: IntervalKind, base: DistSummary, m1: float | None,
-              l1: float | None, se) -> TauInterval:
+def _interval(base: DistSummary, m1: float | None, l1: float | None, se) -> TauInterval:
     """The affine map of ``base`` at pattern-1 moments (m1, l1), with SEs ``se``.
 
     The summaries hold l1 <= m1 only up to ``_MOMENT_TOL``, and rounding can
@@ -186,8 +175,7 @@ def _interval(kind: IntervalKind, base: DistSummary, m1: float | None,
     m1, l1, m2, m3 = (v if v is not None else 0.0 for v in (m1, l1, base.m2, base.m3))
     se_lower, se_upper = se if se is not None else (None, None)
     upper = 4.0 * (m1 * p[0] + m2 * p[1] + m3 * p[2] + p[3]) - 1.0
-    return TauInterval(min(4.0 * l1 * p[0] - 1.0, upper), upper,
-                       kind, se_lower=se_lower, se_upper=se_upper)
+    return TauInterval(min(4.0 * l1 * p[0] - 1.0, upper), upper, se_lower, se_upper)
 
 
 def worst_case(summary: DistSummary) -> TauInterval:
@@ -196,7 +184,7 @@ def worst_case(summary: DistSummary) -> TauInterval:
     Exact affine evaluation; the summary's standard errors, when present,
     are those of these endpoints.
     """
-    return _interval(IntervalKind.WORST_CASE, summary, summary.m1, summary.l1, summary.se)
+    return _interval(summary, summary.m1, summary.l1, summary.se)
 
 
 def refined(summary: ThetaSummary) -> TauInterval:
@@ -208,8 +196,7 @@ def refined(summary: ThetaSummary) -> TauInterval:
     tolerance :class:`ThetaSummary` allows, carried through the affine map:
     that class enforces the moment ordering, and the map is monotone in it.
     """
-    return _interval(IntervalKind.REFINED, summary.base, summary.m1_theta,
-                     summary.l1_theta, summary.se)
+    return _interval(summary.base, summary.m1_theta, summary.l1_theta, summary.se)
 
 
 def _integrands(upper_uv, lower_uv, weights: np.ndarray, thetas: list[float]) -> np.ndarray:
@@ -275,7 +262,7 @@ def clip(interval: TauInterval) -> TauInterval:
     (-1, -1).
     """
     return replace(interval, lower=min(max(interval.lower, -1.0), 1.0),
-                   upper=max(min(interval.upper, 1.0), -1.0), clipped=True)
+                   upper=max(min(interval.upper, 1.0), -1.0))
 
 
 def decide(interval: TauInterval, se_guard: float = 0.0) -> Decision:

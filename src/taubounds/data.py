@@ -27,7 +27,6 @@ from .errors import CsvFormatError, DomainError, EmptyDataError
 
 __all__ = [
     "Dataset",
-    "as_dataset",
     "read_csv",
     "write_csv",
 ]
@@ -75,9 +74,6 @@ class Dataset:
             self._counts = np.bincount(self.z, minlength=5)[1:5]
             self._counts.setflags(write=False)
         return self._counts
-
-    def permuted(self, order: np.ndarray) -> "Dataset":
-        return Dataset(self.x[order], self.y[order])
 
 
 def as_dataset(records) -> Dataset:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import Decision, IntervalKind, TauInterval, _integrands as _bound_integrands
+from .bounds import Decision, TauInterval, _integrands as _bound_integrands
 # kendall_tau and the constrained surfaces are not called here (bounds._integrands
 # evaluates the surfaces); the benchmark's traced run still rebinds them
 from .concordance import kendall_tau  # noqa: F401
@@ -121,9 +121,8 @@ def propensity(config: MgpConfig, x, y) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named demonstration configuration with its published target values."""
+    """A demonstration configuration with its published target values."""
 
-    name: str
     gamma: tuple[tuple[float, float], ...]
     rho: float
     theta: float
@@ -137,7 +136,6 @@ class Scenario:
 
 SCENARIOS: dict[str, Scenario] = {
     "P1": Scenario(
-        name="P1",
         gamma=((2.0, 2.0), (-5.0, 0.25), (5.0, -0.25), (-5.0, -5.0)),
         rho=-0.999,
         theta=0.4,
@@ -145,7 +143,6 @@ SCENARIOS: dict[str, Scenario] = {
         expected_decision=Decision.DEPENDENCE_NEGATIVE,
     ),
     "P2": Scenario(
-        name="P2",
         gamma=((0.5, 0.5), (3.0, 0.5), (0.5, -2.0), (2.0, 2.0)),
         rho=0.99,
         theta=0.4,
@@ -153,7 +150,6 @@ SCENARIOS: dict[str, Scenario] = {
         expected_decision=Decision.DEPENDENCE_POSITIVE,
     ),
     "P3": Scenario(
-        name="P3",
         gamma=((0.5, 0.5), (3.0, 0.5), (0.5, -2.0), (2.0, 2.0)),
         rho=0.0,
         theta=0.4,
@@ -264,7 +260,7 @@ class PopulationBounds:
     of the intervals, ``p_z_se`` and ``theta_hat_se`` hold Monte Carlo
     standard errors for the latter, and for the former the quadrature error
     estimate of :func:`population_bounds_quadrature` (times 4 for the tau
-    endpoints). ``draws`` and ``seed`` are None for quadrature.
+    endpoints).
     """
 
     worst_case: TauInterval
@@ -274,8 +270,6 @@ class PopulationBounds:
     theta: float | None
     theta_hat: float
     theta_hat_se: float
-    draws: int | None
-    seed: int | None
     engine: str
 
 
@@ -303,16 +297,15 @@ def _integrands(config: MgpConfig, thetas: list[float], u: np.ndarray,
 
 
 def _assemble(thetas: list[float], mean: np.ndarray, err: np.ndarray, warn: bool,
-              engine: str, draws: int | None = None,
-              seed: int | None = None) -> list[PopulationBounds]:
+              engine: str) -> list[PopulationBounds]:
     """One result per theta (a single one without refined bounds when there
     is no theta) from the expectations of the :func:`_integrands` columns and
     their errors."""
-    def interval(i_upper: int, i_lower: int, kind: IntervalKind) -> TauInterval:
+    def interval(i_upper: int, i_lower: int) -> TauInterval:
         return TauInterval(4.0 * mean[i_lower] - 1.0, 4.0 * mean[i_upper] - 1.0,
-                           kind, se_lower=4.0 * err[i_lower], se_upper=4.0 * err[i_upper])
+                           4.0 * err[i_lower], 4.0 * err[i_upper])
 
-    wc = interval(0, 1, IntervalKind.WORST_CASE)
+    wc = interval(0, 1)
     theta_hat = float(mean[-1])
     theta_hat_se = float(err[-1])
     out = []
@@ -326,15 +319,12 @@ def _assemble(thetas: list[float], mean: np.ndarray, err: np.ndarray, warn: bool
                   ThetaMismatchWarning)
         out.append(PopulationBounds(
             worst_case=wc,
-            refined=(None if th is None
-                     else interval(2 + 2 * j, 3 + 2 * j, IntervalKind.REFINED)),
+            refined=None if th is None else interval(2 + 2 * j, 3 + 2 * j),
             p_z=mean[-5:-1].copy(),
             p_z_se=err[-5:-1].copy(),
             theta=th,
             theta_hat=theta_hat,
             theta_hat_se=theta_hat_se,
-            draws=draws,
-            seed=seed,
             engine=engine,
         ))
     return out
@@ -376,8 +366,7 @@ def population_bounds_sweep(
     mean = total / n
     variance = np.maximum(total_sq - n * mean**2, 0.0) / (n - 1.0)
     se = np.sqrt(variance / n)
-    return _assemble(thetas, mean, se, warn_on_theta_mismatch, "monte_carlo",
-                     int(draws), int(seed))
+    return _assemble(thetas, mean, se, warn_on_theta_mismatch, "monte_carlo")
 
 
 def population_bounds(
@@ -485,10 +474,11 @@ def _inner_cuts(u: np.ndarray, thetas: list[float]) -> np.ndarray:
     and u - theta + 1/2 for the upper one; 1 - theta - u, theta + 1/2,
     1/2 - theta and 1 + theta - u for the lower one (the last where it
     switches between theta and u + v - 1 with both coordinates above 1/2).
+    The cuts that do not move with u are the :func:`_outer_cuts`.
     """
     th = np.asarray(thetas, dtype=float)
     uu = u[:, None]
-    fixed = np.concatenate(([0.5], th, 1.0 - th, th + 0.5, 0.5 - th))
+    fixed = _outer_cuts(thetas)
     moving = [uu, 1.0 - uu, th + uu - 0.5, uu - th + 0.5, 1.0 - th - uu, 1.0 + th - uu]
     return np.concatenate([np.broadcast_to(fixed, (len(u), len(fixed)))] + moving, axis=1)
 

@@ -12,7 +12,6 @@ from taubounds import (
     Dataset,
     Decision,
     DistSummary,
-    IntervalKind,
     InvalidSummaryError,
     MarginMode,
     StepFunction,
@@ -40,8 +39,6 @@ class TestWorstCase:
     def test_all_missing_raw(self):
         interval = worst_case(summary((0, 0, 0, 1)))
         assert (interval.lower, interval.upper) == (-1.0, 3.0)
-        assert interval.kind is IntervalKind.WORST_CASE
-        assert not interval.clipped
 
     def test_comonotone_constants(self):
         interval = worst_case(summary((1, 0, 0, 0), m1=0.5, l1=0.25))
@@ -106,6 +103,8 @@ class TestSummaryValidation:
             summary((0.5, 0.5, 0.5, -0.5))
         with pytest.raises(InvalidSummaryError):
             summary((0.3, 0.3, 0.3, 0.3))
+        with pytest.raises(InvalidSummaryError, match="exactly 4 entries"):
+            summary((0.5, 0.25, 0.25))
 
     def test_moments_in_unit_interval(self):
         with pytest.raises(InvalidSummaryError):
@@ -139,7 +138,6 @@ class TestRefined:
         a = refined(ts)
         b = worst_case(base)
         assert (a.lower, a.upper) == (b.lower, b.upper)
-        assert a.kind is IntervalKind.REFINED
 
     def test_published_value_shapes(self):
         # affine feasibility of the published demonstration values
@@ -193,53 +191,44 @@ class TestRefined:
 
 class TestClipAndDecide:
     def test_clip_examples(self):
-        wide = TauInterval(-1.0, 3.0, IntervalKind.WORST_CASE)
+        wide = TauInterval(-1.0, 3.0)
         clipped = clip(wide)
         assert (clipped.lower, clipped.upper) == (-1.0, 1.0)
-        assert clipped.clipped
 
-        inside = TauInterval(-0.32, 0.63, IntervalKind.REFINED)
+        inside = TauInterval(-0.32, 0.63)
         same = clip(inside)
         assert (same.lower, same.upper) == (-0.32, 0.63)
-        assert same.clipped
 
-        assert clip(TauInterval(0.0, 1.0, IntervalKind.WORST_CASE)).lower == 0.0
+        assert clip(TauInterval(0.0, 1.0)).lower == 0.0
 
     def test_clip_incoherent(self):
         # an interval wholly outside [-1, 1] collapses onto the nearer end
-        above = clip(TauInterval(1.5, 2.0, IntervalKind.WORST_CASE, se_lower=0.1))
-        assert (above.lower, above.upper, above.clipped) == (1.0, 1.0, True)
+        above = clip(TauInterval(1.5, 2.0, se_lower=0.1))
+        assert (above.lower, above.upper) == (1.0, 1.0)
         assert above.se_lower == 0.1
-        below = clip(TauInterval(-3.0, -1.5, IntervalKind.WORST_CASE))
-        assert (below.lower, below.upper, below.clipped) == (-1.0, -1.0, True)
+        below = clip(TauInterval(-3.0, -1.5))
+        assert (below.lower, below.upper) == (-1.0, -1.0)
 
     def test_decide_examples(self):
-        assert decide(TauInterval(-0.9, -0.0108, IntervalKind.REFINED)) \
-            is Decision.DEPENDENCE_NEGATIVE
-        assert decide(TauInterval(0.034, 0.9, IntervalKind.REFINED)) \
-            is Decision.DEPENDENCE_POSITIVE
-        assert decide(TauInterval(-0.32, 0.63, IntervalKind.REFINED)) \
-            is Decision.INCONCLUSIVE
+        assert decide(TauInterval(-0.9, -0.0108)) is Decision.DEPENDENCE_NEGATIVE
+        assert decide(TauInterval(0.034, 0.9)) is Decision.DEPENDENCE_POSITIVE
+        assert decide(TauInterval(-0.32, 0.63)) is Decision.INCONCLUSIVE
 
     def test_decide_boundaries_strict(self):
-        assert decide(TauInterval(0.0, 0.5, IntervalKind.REFINED)) \
-            is Decision.INCONCLUSIVE
-        assert decide(TauInterval(-0.5, 0.0, IntervalKind.REFINED)) \
-            is Decision.INCONCLUSIVE
+        assert decide(TauInterval(0.0, 0.5)) is Decision.INCONCLUSIVE
+        assert decide(TauInterval(-0.5, 0.0)) is Decision.INCONCLUSIVE
 
     def test_decide_with_se_guard(self):
-        interval = TauInterval(0.01, 0.5, IntervalKind.REFINED,
-                               se_lower=0.02, se_upper=0.02)
+        interval = TauInterval(0.01, 0.5, se_lower=0.02, se_upper=0.02)
         assert decide(interval) is Decision.DEPENDENCE_POSITIVE
         assert decide(interval, se_guard=3.0) is Decision.INCONCLUSIVE
-        bare = TauInterval(0.01, 0.5, IntervalKind.REFINED)
+        bare = TauInterval(0.01, 0.5)
         with pytest.raises(ValueError):
             decide(bare, se_guard=1.0)
 
     @pytest.mark.parametrize("guard", [math.nan, -1.0, -math.inf, math.inf])
     def test_decide_rejects_nan_and_negative_guards(self, guard):
-        interval = TauInterval(0.01, 0.5, IntervalKind.REFINED,
-                               se_lower=0.02, se_upper=0.02)
+        interval = TauInterval(0.01, 0.5, se_lower=0.02, se_upper=0.02)
         with pytest.raises(ValueError, match="nonnegative number"):
             decide(interval, se_guard=guard)
 
@@ -247,8 +236,7 @@ class TestClipAndDecide:
         # estimation leaves an SE undefined only at n = 1
         for lower, upper, decided in ((0.01, 0.5, Decision.DEPENDENCE_POSITIVE),
                                       (-0.5, -0.01, Decision.DEPENDENCE_NEGATIVE)):
-            interval = TauInterval(lower, upper, IntervalKind.REFINED,
-                                   se_lower=math.nan, se_upper=math.nan)
+            interval = TauInterval(lower, upper, se_lower=math.nan, se_upper=math.nan)
             assert decide(interval) is decided
             for guard in (1e-300, 1e-9, 1.0, 3.0):
                 assert decide(interval, se_guard=guard) is Decision.INCONCLUSIVE
@@ -271,10 +259,11 @@ class TestClipAndDecide:
         assert tied.lower == tied.upper
 
     def test_interval_validation(self):
-        with pytest.raises(InvalidSummaryError):
-            TauInterval(0.5, 0.2, IntervalKind.WORST_CASE)
-        with pytest.raises(InvalidSummaryError):
-            TauInterval(-1.5, 0.2, IntervalKind.WORST_CASE, clipped=True)
+        with pytest.raises(InvalidSummaryError, match="exceeds upper"):
+            TauInterval(0.5, 0.2)
+        for lower, upper in ((-math.inf, 0.2), (-0.2, math.inf), (math.nan, 0.2)):
+            with pytest.raises(InvalidSummaryError, match="must be finite"):
+                TauInterval(lower, upper)
 
 
 def records_fixture():

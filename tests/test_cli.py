@@ -249,10 +249,28 @@ class TestSimulateCommand:
                   "--output", str(tmp_path / "d.csv")])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("gamma", ["0.5,0.5,3,0.5,0.5,-2,2,2",
+                                       "0.5,0.5; 3,0.5; 0.5,-2; 2,2"],
+                             ids=["commas", "semicolons"])
+    def test_numeric_gamma_matches_scenario(self, tmp_path, monkeypatch, gamma):
+        # P2's rho and gamma given as numbers write P2's dataset and bounds
+        monkeypatch.chdir(tmp_path)
+        common = ["--n", "3000", "--seed", "5", "--theta", "0.4"]
+        for name, config in (("scenario", ["--scenario", "P2"]),
+                             ("numbers", ["--rho", "0.99", "--gamma", gamma])):
+            assert run_cli("simulate", *config, *common, "--output", f"{name}.csv",
+                           "--bounds-output", f"{name}.json") == 0
+        for suffix in ("csv", "json"):
+            assert (tmp_path / f"numbers.{suffix}").read_bytes() \
+                == (tmp_path / f"scenario.{suffix}").read_bytes()
+
     def test_invalid_gamma_exit_2(self, tmp_path, capsys):
         assert run_cli("simulate", "--rho", "0.5", "--gamma", "1,2,3",
                        "--n", "10", "--output", str(tmp_path / "x.csv")) == 2
         assert "8 comma-separated" in capsys.readouterr().err
+        assert run_cli("simulate", "--rho", "0.5", "--gamma", "1,2,3,4,5,6,7,x",
+                       "--n", "10", "--output", str(tmp_path / "x.csv")) == 2
+        assert "--gamma contains a non-numeric entry" in capsys.readouterr().err
 
     def test_invalid_rho_exit_2(self, tmp_path):
         assert run_cli("simulate", "--rho", "1.5", "--gamma", "zeros",
@@ -287,6 +305,12 @@ class TestSimulateCommand:
     def test_scenario_conflicts_with_rho(self, tmp_path):
         assert run_cli("simulate", "--scenario", "P1", "--rho", "0.2",
                        "--n", "10", "--output", str(tmp_path / "x.csv")) == 2
+
+    def test_scenario_or_rho_required(self, tmp_path, capsys):
+        assert run_cli("simulate", "--n", "10", "--output", str(tmp_path / "e.csv")) == 2
+        assert "either --scenario or --rho (with --gamma) is required" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
 
 
 class TestReproduceCommand:

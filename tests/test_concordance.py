@@ -64,6 +64,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             kendall_tau([(1, 2), (np.nan, 3), (4, 5)])
 
+    def test_shapes_rejected(self):
+        with pytest.raises(ValueError, match="sequence of \\(x, y\\) pairs"):
+            kendall_tau(np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="equal length"):
+            kendall_tau([0.1, 0.2, 0.3], [0.1, 0.2])
+
 
 class TestKernelEquivalence:
     @pytest.mark.parametrize("n", [2, 3, 17, 257, 3000, 10001])

@@ -58,6 +58,12 @@ class TestDataset:
         with pytest.raises(DomainError, match=f"non-finite {column}"):
             Dataset.from_records(zip(*cells))
 
+    @pytest.mark.parametrize("x, y", [([0.1, 0.2], [0.1]), ([[0.1, 0.2]], [[0.1, 0.2]])],
+                             ids=["unequal", "two-dimensional"])
+    def test_column_shapes_rejected(self, x, y):
+        with pytest.raises(ValueError, match="one-dimensional and equally long"):
+            Dataset(x, y)
+
     def test_patterns_counted_once(self):
         ds = simulate_dataset(SCENARIOS["P3"].config(), 2000, seed=1)
         with mock.patch.object(np, "bincount", wraps=np.bincount) as bincount:
@@ -131,8 +137,8 @@ class TestSummarize:
     def test_permutation_invariance(self):
         ds = simulate_dataset(SCENARIOS["P2"].config(), 5000, seed=7)
         s = summarize(ds, UNIFORM, theta=0.4)
-        rng = np.random.default_rng(0)
-        shuffled = ds.permuted(rng.permutation(len(ds)))
+        o = np.random.default_rng(0).permutation(len(ds))
+        shuffled = Dataset(ds.x[o], ds.y[o])
         t = summarize(shuffled, UNIFORM, theta=0.4)
         assert s.base == t.base
         assert (s.m1_theta, s.l1_theta, s.se) == (t.m1_theta, t.l1_theta, t.se)
@@ -189,6 +195,8 @@ class TestCdfTable:
             CdfTable(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.8, 0.7]))
         with pytest.raises(MarginTableError):
             CdfTable(np.array([0.0]), np.array([1.0]))
+        with pytest.raises(MarginTableError, match="must be finite"):
+            CdfTable(np.array([0.0, np.inf]), np.array([0.0, 1.0]))
 
     def test_mode_validation(self):
         table = CdfTable(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
@@ -199,15 +207,19 @@ class TestCdfTable:
 
     def test_from_csv(self, tmp_path):
         path = tmp_path / "cdf.csv"
-        path.write_text("value,cdf\n0.0,0.0\n0.5,0.6\n1.0,1.0\n", encoding="utf-8")
-        table = CdfTable.from_csv(path)
-        assert table(np.array([0.25]))[0] == pytest.approx(0.3)
+        for text in ("value,cdf\n0.0,0.0\n0.5,0.6\n1.0,1.0\n",
+                     "value,cdf\n0.0,0.0\n\n0.5,0.6\n1.0,1.0\n"):  # a blank row is skipped
+            path.write_text(text, encoding="utf-8")
+            table = CdfTable.from_csv(path)
+            assert table(np.array([0.25]))[0] == pytest.approx(0.3)
 
     def test_from_csv_rejects_bad_rows(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("value,cdf\njunk,more\n1.0,1.0\n", encoding="utf-8")
-        with pytest.raises(MarginTableError, match="cannot parse"):
-            CdfTable.from_csv(path)
+        for text, message in (("value,cdf\njunk,more\n1.0,1.0\n", "cannot parse"),
+                              ("value,cdf\n0.0,0.0,0.5\n1.0,1.0\n", "expected 2 columns")):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(MarginTableError, match=message):
+                CdfTable.from_csv(path)
 
 
 class TestAnalyze:
@@ -266,8 +278,8 @@ class TestAnalyze:
     def test_permutation_invariance(self):
         ds = simulate_dataset(SCENARIOS["P1"].config(), 4000, seed=19)
         a = analyze(ds, UNIFORM, theta=0.4)
-        rng = np.random.default_rng(1)
-        b = analyze(ds.permuted(rng.permutation(len(ds))), UNIFORM, theta=0.4)
+        o = np.random.default_rng(1).permutation(len(ds))
+        b = analyze(Dataset(ds.x[o], ds.y[o]), UNIFORM, theta=0.4)
         assert a.worst_case_raw == b.worst_case_raw
         assert a.refined_raw == b.refined_raw
         assert a.p_hat == b.p_hat

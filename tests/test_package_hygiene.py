@@ -1,17 +1,21 @@
 """Every name a package module imports is used, exported or marked as kept,
-scipy is loaded only as ``scipy.special``, on first use, and the package
-imports and declares no third-party module but numpy and scipy.
+the package exports exactly its modules' public names, scipy is loaded only
+as ``scipy.special``, on first use, and the package imports and declares no
+third-party module but numpy and scipy.
 
 The first check stands in for a linter's unused-import rule (F401), written
 with ``ast`` alone: a name imported by a module under ``src/taubounds`` must
 be read in that module, listed in its ``__all__``, or imported on a line
-marked ``# noqa: F401``. The second pins the README's install note: every
-scipy import is ``from scipy import special`` inside a function body. The
-third keeps ``pyproject.toml``'s runtime dependencies equal to the
-third-party modules the package imports.
+marked ``# noqa: F401``. The second keeps ``taubounds.__all__`` equal to the
+union of the modules' ``__all__`` lists and the public names of ``errors``.
+The third pins the README's install note: every scipy import is
+``from scipy import special`` inside a function body. The fourth keeps
+``pyproject.toml``'s runtime dependencies equal to the third-party modules
+the package imports.
 """
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -19,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import taubounds
+from taubounds import errors
 
 MODULES = sorted(Path(taubounds.__file__).parent.glob("*.py"))
 
@@ -42,14 +47,19 @@ def _exported(tree):
     return set()
 
 
+def idle_imports(source):
+    """(name, line) of the imported names that the source neither reads nor exports."""
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} \
+        | _exported(tree)
+    return [(name, line) for name, line in _imported(tree) if name not in used]
+
+
 def unused_imports(source):
     """Imported names that the source neither reads, exports nor marks as kept."""
-    tree = ast.parse(source)
     lines = source.splitlines()
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    kept = read | _exported(tree)
-    return [(name, line) for name, line in _imported(tree)
-            if name not in kept and "# noqa: F401" not in lines[line - 1]]
+    return [(name, line) for name, line in idle_imports(source)
+            if "# noqa: F401" not in lines[line - 1]]
 
 
 def test_package_has_modules():
@@ -71,6 +81,21 @@ def test_every_import_is_used(path):
 ])
 def test_scan_flags_only_unused_names(source, unused):
     assert unused_imports(source) == unused
+
+
+def test_package_exports_its_modules_public_names():
+    expected = {"__version__"} | {
+        name for name, value in vars(errors).items()
+        if not name.startswith("_") and getattr(value, "__module__", None) == errors.__name__}
+    for path in MODULES:
+        if path.stem.startswith("_"):
+            continue
+        module = importlib.import_module(f"taubounds.{path.stem}")
+        exported = getattr(module, "__all__", [])
+        assert [n for n in exported if not hasattr(module, n)] == [], path.name
+        expected |= set(exported)
+    assert len(taubounds.__all__) == len(set(taubounds.__all__))
+    assert set(taubounds.__all__) == expected
 
 
 def scipy_import_faults(source):

@@ -6,7 +6,8 @@ otherwise surface only in a traced benchmark run. Likewise its
 ``population`` checks compare ``reproduce`` and ``true_tau`` with
 ``perfbench/reference.json``; an engine change that fails them fails here
 first. The kernels it times directly and the calls it makes to the package
-are checked by name and signature, without running them.
+are checked by name and signature, without running them. A module keeps an
+import it neither reads nor exports only as a probe target.
 """
 
 import importlib.util
@@ -16,6 +17,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_package_hygiene import MODULES, idle_imports
 
 import taubounds
 from taubounds import concordance, copulas, mgp, true_tau
@@ -52,6 +54,15 @@ def test_every_probe_target_resolves(workloads):
     workloads.install_probes(tracer)
     assert "taubounds.estimator.summarize" in tracer.targets
     assert "taubounds.cli.read_csv" in tracer.targets
+
+
+def test_kept_imports_are_probe_targets(workloads):
+    # a name kept only by "# noqa: F401" serves the benchmark's rebinding
+    tracer = CheckingTracer()
+    workloads.install_probes(tracer)
+    kept = {f"taubounds.{path.stem}.{name}" for path in MODULES
+            for name, _ in idle_imports(path.read_text(encoding="utf-8"))}
+    assert kept and kept <= set(tracer.targets)
 
 
 def test_kernel_timing_targets_resolve():
