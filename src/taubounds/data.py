@@ -7,17 +7,19 @@ record: 1 = both coordinates observed, 2 = only x, 3 = only y,
 
 CSV dialect: header ``x,y``; a missing cell is an empty string or the
 literal ``NA``; decimal point only; UTF-8, with an optional byte-order
-mark. Files are written in chunks of rows. A file in the written form (header
-``x,y``, plain numbers, ``\\n`` line ends) is read in blocks by numpy's C
-parser; any other file, and every error, goes through one ``csv.reader``
-row at a time.
+mark. Files are written in chunks of rows, and only the cells that hold a
+value are formatted. A file in the written form (header ``x,y``, plain
+numbers, ``\\n`` line ends) is read in blocks: the empty cells are found
+by the position of each line's comma, and numpy's C parser converts the
+other cells. Any other file, and every error, goes through one
+``csv.reader`` row at a time.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
+import warnings
 from array import array
 from collections.abc import Iterable
 
@@ -89,23 +91,29 @@ def as_dataset(records) -> Dataset:
 
 # Rows formatted and written per call, so that the text of a large dataset
 # is never held in memory at once.
-_CHUNK_ROWS = 1 << 9
-
-
-def _format_column(values: np.ndarray) -> list[str]:
-    """Cells of one column: the shortest round-trip repr, empty for NaN."""
-    return ["" if v != v else repr(v) for v in values.tolist()]
+_CHUNK_ROWS = 1 << 12
 
 
 def write_csv(dataset: Dataset, path) -> None:
-    """Write a dataset in the ``x,y`` dialect with empty cells for missing values."""
+    """Write a dataset in the ``x,y`` dialect with empty cells for missing values.
+
+    Each value is written as its shortest round-trip ``repr``; only the
+    cells that hold one are formatted.
+    """
+    cells = np.empty((_CHUNK_ROWS, 4), dtype=object)
+    cells[:, 1] = ","
+    cells[:, 3] = "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("x,y\n")
         for start in range(0, len(dataset), _CHUNK_ROWS):
             stop = start + _CHUNK_ROWS
-            rows = zip(_format_column(dataset.x[start:stop]),
-                       _format_column(dataset.y[start:stop]))
-            fh.write("".join([f"{x},{y}\n" for x, y in rows]))
+            x, y = dataset.x[start:stop], dataset.y[start:stop]
+            rows = cells[:x.size]
+            for column, values in ((0, x), (2, y)):
+                present = ~np.isnan(values)
+                rows[:, column] = ""
+                rows[present, column] = list(map(repr, values[present].tolist()))
+            fh.write("".join(rows.ravel().tolist()))
 
 
 def _parse_cell(token: str, line_number: int, column: str) -> float:
@@ -146,16 +154,24 @@ _BLOCK_BYTES = 1 << 13
 # The bytes of a plain numeric body, the form write_csv writes.
 _PLAIN_BYTES = b"0123456789+-.eE,\n"
 _PLAIN_HEADERS = (b"x,y\n", b"\xef\xbb\xbfx,y\n")
+_NEWLINE, _COMMA = ord("\n"), ord(",")
+# Commas and line ends become the spaces that np.fromstring splits cells at.
+_CELL_BREAKS = bytes.maketrans(b",\n", b"  ")
+# Offsets from a comma to the bytes beside it, in the x and the y cell.
+_CELL_SIDES = np.array([-1, 1])
 
 
 def _add_plain_lines(text: bytes, xs: array, ys: array) -> bool:
     """Append the rows of whole lines of plain numbers to ``xs`` and ``ys``.
 
     Returns False, appending nothing, unless every byte is in the plain
-    alphabet, no line is longer than ``csv.field_size_limit()``, and numpy
-    parses every line that is not blank into two finite numbers. Within
-    that alphabet numpy and ``float`` parse a cell with the same C routine,
-    so the rows get the bits the row-by-row reader gives them.
+    alphabet, no line is longer than ``csv.field_size_limit()``, every line
+    that is not blank holds exactly one comma, and numpy parses the cells
+    that are not empty into finite numbers, one per cell. A cell is empty
+    when its comma touches the line's start or end; the other cells, if
+    any, are parsed in one ``np.fromstring`` call. Within that
+    alphabet numpy and ``float`` parse a cell with the same C routine, so
+    the rows get the bits the row-by-row reader gives them.
     """
     if text.translate(None, _PLAIN_BYTES):
         return False
@@ -164,15 +180,31 @@ def _add_plain_lines(text: bytes, xs: array, ys: array) -> bool:
         return False
     if not text.strip(b"\n"):
         return True
-    text = (b"\n" + text).replace(b",\n", b",nan\n").replace(b"\n,", b"\nnan,")
-    try:
-        values = np.loadtxt(io.BytesIO(text), delimiter=",", comments=None, ndmin=2)
-    except ValueError:
+    codes = np.frombuffer(text, dtype=np.uint8)
+    # text ends with a line end, so codes[-1] reads as one before position 0
+    ends = (codes == _NEWLINE).nonzero()[0]
+    filled = (codes[ends - 1] != _NEWLINE).nonzero()[0]
+    commas = (codes == _COMMA).nonzero()[0]
+    # the lines of the commas, in order, must be the lines that are not blank
+    if not np.array_equal(ends.searchsorted(commas), filled):
         return False
-    if values.shape[1] != 2 or np.isinf(values).any():
-        return False
-    xs.frombytes(values[:, 0].tobytes())
-    ys.frombytes(values[:, 1].tobytes())
+    # a cell is empty when the byte on its side of the comma is a line end
+    present = codes[commas[:, None] + _CELL_SIDES] != _NEWLINE
+    table = np.full(present.shape, np.nan)
+    if cells := np.count_nonzero(present):
+        # np.fromstring reads whitespace alone as [-1.], hence the guard; an
+        # older numpy warns, instead of raising, when a token is cut short
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            try:
+                values = np.fromstring(text.translate(_CELL_BREAKS), sep=" ")
+            except (ValueError, DeprecationWarning):
+                return False
+        if values.size != cells or np.isinf(values).any():
+            return False
+        table[present] = values
+    xs.frombytes(table[:, 0].tobytes())
+    ys.frombytes(table[:, 1].tobytes())
     return True
 
 
@@ -210,9 +242,9 @@ def read_csv(path) -> Dataset:
     A file whose header line is exactly ``x,y`` and whose body holds only
     digits, ``+-.eE``, commas and ``\\n`` line ends (the form
     :func:`write_csv` writes) is parsed block by block with numpy's C
-    reader. Every other file, and any such file that numpy does not parse
-    into two finite columns, is read row by row with ``csv.reader``; both
-    give the same bits.
+    parser. Every other file, and any such file with a line that is not two
+    cells or a cell that numpy does not parse into one finite number, is
+    read row by row with ``csv.reader``; both give the same bits.
 
     Raises :class:`CsvFormatError` (with the offending line number) on
     the first malformed row and :class:`EmptyDataError` when no data rows

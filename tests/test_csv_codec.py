@@ -142,10 +142,11 @@ PLAIN_ODD_ROWS = st.one_of(
 @st.composite
 def plain_texts(draw):
     """Small files in write_csv's form, which the block reader parses: header
-    ``x,y``, ``repr`` or empty cells, ``\n`` only; a few carry one odd row."""
+    ``x,y``, ``repr`` or empty cells, ``\n`` only; half carry one or two odd
+    rows, so that a row of one cell and a row of three can balance."""
     rows = draw(st.lists(st.one_of(st.just([]), st.lists(PLAIN_CELLS, min_size=2, max_size=2)),
                          max_size=12))
-    if draw(st.integers(0, 3)) == 0:
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
         rows.insert(draw(st.integers(0, len(rows))), draw(PLAIN_ODD_ROWS))
     text = "x,y\n" + "".join(",".join(row) + "\n" for row in rows)
     if draw(st.booleans()):
@@ -164,6 +165,12 @@ def plain_texts(draw):
 @example(text="x,y\n,\n\n0.5,\n,-0.0\n1e-999,5.\n", block_bytes=3)
 @example(text="x,y\n0.5,0.25\n1e999,0.5", block_bytes=7)
 @example(text="x,y\n0.5,nan\n", block_bytes=data._BLOCK_BYTES)
+@example(text="x,y\n1,2,3\n4\n", block_bytes=data._BLOCK_BYTES)
+@example(text="x,y\n1-2,\n", block_bytes=data._BLOCK_BYTES)
+@example(text="x,y\n0.5,1e\n", block_bytes=data._BLOCK_BYTES)
+@example(text="x,y\n,\n,\n\n", block_bytes=data._BLOCK_BYTES)
+@example(text="x,y\n5\n,\n", block_bytes=data._BLOCK_BYTES)
+@example(text="x,y\n,,\n", block_bytes=data._BLOCK_BYTES)
 def test_reader_matches_row_by_row_oracle(tmp_path, text, block_bytes):
     path = tmp_path / "in.csv"
     path.write_bytes(text.encode("utf-8"))
@@ -247,6 +254,34 @@ def test_block_reader_peak_memory_stays_near_output_size(tmp_path):
             tracemalloc.stop()
     assert len(ds) == n
     assert peak / n < 3 * 16
+
+
+def test_block_reader_reads_a_body_of_empty_cells(tmp_path):
+    # no cell holds a number, so no block is handed to np.fromstring
+    path = tmp_path / "empty_cells.csv"
+    path.write_text("x,y\n" + ",\n,\n\n" * 5_000, encoding="utf-8")
+    with mock.patch.object(data, "_parse_rows", _row_reader_refused):
+        ds = read_csv(path)
+    assert len(ds) == 10_000
+    assert np.isnan(ds.x).all() and np.isnan(ds.y).all()
+    assert (ds.z == 4).all()
+
+
+def test_block_reader_fails_a_block_when_numpy_only_warns(tmp_path):
+    # an older numpy returns a partial parse with a DeprecationWarning,
+    # instead of raising, when a token is cut short: "1-2" then reads as [1.]
+    def partial_parse(text, sep):
+        warnings.warn("string or file could not be read to its end due to unmatched "
+                      "data; this will raise a ValueError in the future.",
+                      DeprecationWarning, stacklevel=2)
+        return np.array([1.0])
+
+    path = tmp_path / "cut.csv"
+    path.write_text("x,y\n1-2,\n", encoding="utf-8")
+    with mock.patch.object(np, "fromstring", partial_parse):
+        got = _outcome(read_csv, path)
+    assert got == (CsvFormatError, "line 2: cannot parse x='1-2'")
+    assert got == _outcome(oracle_read_csv, path)
 
 
 @pytest.mark.parametrize("scale", list(CovariateScale))
