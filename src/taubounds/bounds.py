@@ -12,7 +12,10 @@ where m1 / l1 are the pattern-1 means of min(F(X), G(Y)) and of
 max(F(X) + G(Y) - 1, 0), and m2 / m3 the pattern means of F(X) and G(Y).
 The worst-case interval always brackets zero. Knowing the median-quadrant
 probability theta = C(1/2, 1/2) tightens the pattern-1 terms via the
-constrained surfaces and can produce an interval excluding zero.
+constrained surfaces and can produce an interval excluding zero. Either
+way each endpoint is 4 (mean of one integrand) - 1: :func:`_integrands`
+builds the integrands for the plug-in and both population engines as
+(lower, upper) pairs, and :func:`_tau` maps a pair's means to tau.
 
 Raw intervals may leave [-1, 1] (the all-missing upper bound is 3);
 :func:`clip` projects them onto [-1, 1] for reporting.
@@ -164,18 +167,15 @@ class ThetaSummary:
                     "above the unconstrained one")
 
 
-def _interval(base: DistSummary, m1: float | None, l1: float | None, se) -> TauInterval:
-    """The affine map of ``base`` at pattern-1 moments (m1, l1), with SEs ``se``.
+def _tau(means, se) -> TauInterval:
+    """The interval 4 mean - 1 of (lower, upper) integrand ``means``, with SEs ``se``.
 
-    The summaries hold l1 <= m1 only up to ``_MOMENT_TOL``, and rounding can
-    put the computed l1 an ulp above m1 (at u = 1, (u + v) - 1 can exceed v),
-    so a lower end above the upper one is set to the upper one.
+    Summaries hold l1 <= m1 only up to ``_MOMENT_TOL``, and rounding can put
+    the computed l1 an ulp above m1 (at u = 1, (u + v) - 1 can exceed v), so
+    a lower end above the upper one is set to the upper one.
     """
-    p = np.asarray(base.p_z, dtype=float)
-    m1, l1, m2, m3 = (v if v is not None else 0.0 for v in (m1, l1, base.m2, base.m3))
-    se_lower, se_upper = se if se is not None else (None, None)
-    upper = 4.0 * (m1 * p[0] + m2 * p[1] + m3 * p[2] + p[3]) - 1.0
-    return TauInterval(min(4.0 * l1 * p[0] - 1.0, upper), upper, se_lower, se_upper)
+    lower, upper = (4.0 * m - 1.0 for m in means)
+    return TauInterval(min(lower, upper), upper, *((None, None) if se is None else se))
 
 
 def worst_case(summary: DistSummary) -> TauInterval:
@@ -184,7 +184,9 @@ def worst_case(summary: DistSummary) -> TauInterval:
     Exact affine evaluation; the summary's standard errors, when present,
     are those of these endpoints.
     """
-    return _interval(summary, summary.m1, summary.l1, summary.se)
+    p = np.asarray(summary.p_z, dtype=float)
+    m1, l1, m2, m3 = (v or 0.0 for v in (summary.m1, summary.l1, summary.m2, summary.m3))
+    return _tau((l1 * p[0], m1 * p[0] + m2 * p[1] + m3 * p[2] + p[3]), summary.se)
 
 
 def refined(summary: ThetaSummary) -> TauInterval:
@@ -196,61 +198,64 @@ def refined(summary: ThetaSummary) -> TauInterval:
     tolerance :class:`ThetaSummary` allows, carried through the affine map:
     that class enforces the moment ordering, and the map is monotone in it.
     """
-    return _interval(summary.base, summary.m1_theta, summary.l1_theta, summary.se)
+    return worst_case(replace(summary.base, m1=summary.m1_theta, l1=summary.l1_theta,
+                              se=summary.se))
 
 
 def _integrands(upper_uv, lower_uv, weights: np.ndarray, thetas: list[float]) -> np.ndarray:
     """Integrands of the bound values for the plug-in and both population
-    engines, one row each: worst-case upper, lower, then (refined upper,
-    lower) per theta. Inputs: the (u, v) of the upper and of the lower ones,
-    and (4, n) pattern weights, one row per pattern: the propensities, or a
-    one-hot pattern as a (4, 1) column shared by every point (then missing
-    cells may hold any value in [0, 1])."""
+    engines as (lower, upper) pairs, shape ``(1 + len(thetas), 2, n)``: the
+    worst case, then the refined interval at each theta. Inputs: the (u, v)
+    of the upper and of the lower ones, and (4, n) pattern weights, one row
+    per pattern: the propensities, or a one-hot pattern as a (4, 1) column
+    shared by every point (then missing cells may hold any value in [0, 1])."""
     (u, v), (lu, lv) = upper_uv, lower_uv
     p1 = weights[0]
     tail = weights[1] * u + weights[2] * v + weights[3]
-    cols = np.empty((2 + 2 * len(thetas), len(u)))
-    cols[0] = np.minimum(u, v) * p1 + tail
-    cols[1] = np.maximum(lu + lv - 1.0, 0.0) * p1
-    for j, th in enumerate(thetas):
-        cols[2 + 2 * j] = _upper_surface(th, u, v) * p1 + tail
-        cols[3 + 2 * j] = _lower_surface(th, lu, lv) * p1
-    return cols
+    pairs = np.empty((1 + len(thetas), 2, len(u)))
+    pairs[0, 0] = np.maximum(lu + lv - 1.0, 0.0) * p1
+    pairs[0, 1] = np.minimum(u, v) * p1 + tail
+    for j, th in enumerate(thetas, 1):
+        pairs[j, 0] = _lower_surface(th, lu, lv) * p1
+        pairs[j, 1] = _upper_surface(th, u, v) * p1 + tail
+    return pairs
 
 
-def _plug_in(ds: Dataset, inputs, thetas=(), projected=False):
-    """The :class:`DistSummary`, then a :class:`ThetaSummary` per theta, of a
-    dataset from its :func:`_integrands` under one-hot weights. ``inputs(rows)``
+def _plug_in(ds: Dataset, inputs, theta=None, projected=False):
+    """The :class:`DistSummary` of a dataset, or its :class:`ThetaSummary` at
+    ``theta``, from its :func:`_integrands` under one-hot weights. ``inputs(rows)``
     gives their (upper_uv, lower_uv) at ``rows`` and, if ``projected``, n times
-    the projection terms of the worst-case (upper, lower) integrands. A
+    the projection terms of the worst-case (lower, upper) integrands. A
     pattern's moment is an integrand's mean over its rows; an endpoint's SE is
     4 sd / sqrt(n) of its integrand (plus projection) over all rows. Patterns
     are reduced one at a time, each sorted: row order never changes a bit."""
-    n, width, block = len(ds), 2 + 2 * len(thetas), 1 << 16  # block: rows per integrand call
+    thetas = [] if theta is None else [theta]
+    n, block = len(ds), 1 << 16  # block: rows per integrand call
     means, parts = [], []  # parts: (rows, mean, variance) of each SE integrand
     for k in range(4):
         rows = np.flatnonzero(ds.z == k + 1)
-        cols = np.empty((width, rows.size))
+        pairs = np.empty((1 + len(thetas), 2, rows.size))
         for extra in range(1 + projected):  # the integrands, then with the projection
             for a in range(0, rows.size, block):
                 got = inputs(rows[a:a + block])
-                cols[:, a:a + block] = _integrands(*got[:2], (np.arange(4) == k)[:, None], thetas)
+                pairs[..., a:a + block] = _integrands(*got[:2], (np.arange(4) == k)[:, None],
+                                                      thetas)
                 if extra:
-                    cols[:, a:a + block] += got[2] / n
-            cols.sort(axis=1)
+                    pairs[..., a:a + block] += got[2] / n
+            pairs.sort(axis=-1)
             if not extra:
-                means.append([float(m) for m in cols.sum(axis=1) / rows.size] if rows.size
-                             else [None] * width)
+                means.append((pairs.sum(axis=-1) / rows.size).tolist() if rows.size
+                             else [[None, None]] * len(pairs))
         if rows.size:
-            parts.append((rows.size, cols.mean(axis=1), cols.var(axis=1)))
+            parts.append((rows.size, pairs.mean(axis=-1), pairs.var(axis=-1)))
     mean = sum(m * mu for m, mu, _ in parts) / n
     squares = sum(m * (var + (mu - mean) ** 2) for m, mu, var in parts)
-    se = [4.0 * math.sqrt(q / (n - 1) / n) if n > 1 else math.nan for q in squares]
-    base = DistSummary(tuple(ds.pattern_counts() / n), means[0][0], means[0][1],
-                       means[1][0], means[2][0], se=(se[1], se[0]))
-    return [base] + [ThetaSummary(th, means[0][2 + 2 * j], means[0][3 + 2 * j], base,
-                                  se=(se[3 + 2 * j], se[2 + 2 * j]))
-                     for j, th in enumerate(thetas)]
+    se = (4.0 * np.sqrt(squares / (n - 1) / n) if n > 1 else squares * math.nan).tolist()
+    (l1, m1), *at_theta = means[0]
+    base = DistSummary(tuple(ds.pattern_counts() / n), m1, l1, means[1][0][1], means[2][0][1],
+                       se=tuple(se[0]))
+    return base if theta is None else ThetaSummary(theta, at_theta[0][1], at_theta[0][0], base,
+                                                   se=tuple(se[1]))
 
 
 def clip(interval: TauInterval) -> TauInterval:
@@ -390,8 +395,8 @@ def envelope_summary(records) -> DistSummary:
     # x_i >= x_j if x_j is observed, else all of them (upper) or none (lower).
     shift, term = np.zeros((2, n), np.int32), np.empty(n, np.int32)
     for (rows, first), reads in zip(ranked, reads_upper):
-        for k, (readers, if_missing) in enumerate(((reads, np.count_nonzero(reads)),
-                                                   (reads_lower, 0))):
+        for k, (readers, if_missing) in enumerate(((reads_lower, 0),
+                                                   (reads, np.count_nonzero(reads)))):
             term.fill(if_missing)
             term[rows] = np.cumsum(readers[rows[::-1]], dtype=np.int32)[::-1][first]
             shift[k] += term
@@ -401,4 +406,4 @@ def envelope_summary(records) -> DistSummary:
         lower = tuple(count[rows] / n for count in at_or_below)
         return tuple(a + m / n for a, m in zip(lower, missing)), lower, shift[:, rows]
 
-    return _plug_in(ds, inputs, projected=True)[0]
+    return _plug_in(ds, inputs, projected=True)

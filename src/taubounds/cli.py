@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="median-quadrant probability for refined bounds")
     pa.add_argument("--se-guard", type=float, default=0.0,
                     help="widen the decisive interval by this many standard errors")
-    pa.add_argument("--seed", type=int, default=0)
+    pa.add_argument("--seed", type=int, default=0, help="only copied into the report")
     pa.add_argument("--format", choices=("plain", "json"), default="plain")
     pa.set_defaults(func=_cmd_analyze)
 

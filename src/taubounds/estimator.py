@@ -84,7 +84,7 @@ class CdfTable:
             raise MarginTableError("table values must be strictly increasing")
         if np.any(np.diff(cdf) < -1e-12):
             raise MarginTableError("cdf column must be nondecreasing")
-        if cdf[0] > _TABLE_START_EPS:
+        if abs(cdf[0]) > _TABLE_START_EPS:
             raise MarginTableError(f"cdf must start at 0 (got {cdf[0]!r})")
         if abs(cdf[-1] - 1.0) > 1e-9:
             raise MarginTableError(f"cdf must end at 1 (got {cdf[-1]!r})")
@@ -188,7 +188,7 @@ def summarize(records, margins: MarginMode, theta: float | None = None):
         uv = (np.where(np.isnan(x), 0.0, fx(x)), np.where(np.isnan(y), 0.0, gy(y)))
         return uv, uv
 
-    return _plug_in(ds, inputs, [] if theta is None else [theta])[-1]
+    return _plug_in(ds, inputs, theta)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import Decision, TauInterval, _integrands as _bound_integrands
+from .bounds import Decision, TauInterval, _integrands as _bound_integrands, _tau
 # kendall_tau and the constrained surfaces are not called here (bounds._integrands
 # evaluates the surfaces); the benchmark's traced run still rebinds them
 from .concordance import kendall_tau  # noqa: F401
@@ -282,18 +282,15 @@ def _integrands(config: MgpConfig, thetas: list[float], u: np.ndarray,
                 v: np.ndarray) -> np.ndarray:
     """Integrands of the population bound values at the latent points (u, v).
 
-    Shape ``(2 + 2 * len(thetas) + 5, len(u))``, one row per integrand:
-    those of :func:`bounds._integrands` under the propensities, the four
-    propensities and the median-quadrant indicator. Their expectations
+    Shape ``(7 + 2 * len(thetas), len(u))``: the (lower, upper) pairs of
+    :func:`bounds._integrands` under the propensities, flattened, then the
+    four propensities and the median-quadrant indicator. Their expectations
     under the copula are the bound values; both engines average this table.
     """
     x, y = _covariates(u, v, config.covariate_scale)
     pi = propensity(config, x, y)
-    cols = np.empty((2 + 2 * len(thetas) + 5, len(u)))
-    cols[:-5] = _bound_integrands((u, v), (u, v), pi, thetas)
-    cols[-5:-1] = pi
-    cols[-1] = (u <= 0.5) & (v <= 0.5)
-    return cols
+    return np.concatenate((*_bound_integrands((u, v), (u, v), pi, thetas), pi,
+                           [(u <= 0.5) & (v <= 0.5)]))
 
 
 def _assemble(thetas: list[float], mean: np.ndarray, err: np.ndarray, warn: bool,
@@ -301,11 +298,8 @@ def _assemble(thetas: list[float], mean: np.ndarray, err: np.ndarray, warn: bool
     """One result per theta (a single one without refined bounds when there
     is no theta) from the expectations of the :func:`_integrands` columns and
     their errors."""
-    def interval(i_upper: int, i_lower: int) -> TauInterval:
-        return TauInterval(4.0 * mean[i_lower] - 1.0, 4.0 * mean[i_upper] - 1.0,
-                           4.0 * err[i_lower], 4.0 * err[i_upper])
-
-    wc = interval(0, 1)
+    wc, *at_theta = (_tau(m, 4.0 * e) for m, e in zip(mean[:-5].reshape(-1, 2),
+                                                     err[:-5].reshape(-1, 2)))
     theta_hat = float(mean[-1])
     theta_hat_se = float(err[-1])
     out = []
@@ -319,7 +313,7 @@ def _assemble(thetas: list[float], mean: np.ndarray, err: np.ndarray, warn: bool
                   ThetaMismatchWarning)
         out.append(PopulationBounds(
             worst_case=wc,
-            refined=None if th is None else interval(2 + 2 * j, 3 + 2 * j),
+            refined=None if th is None else at_theta[j],
             p_z=mean[-5:-1].copy(),
             p_z_se=err[-5:-1].copy(),
             theta=th,
@@ -504,7 +498,7 @@ def _strip_sums(config: MgpConfig, thetas: list[float], a: np.ndarray, b: np.nda
     rho = config.copula.rho
     s = math.sqrt(1.0 - rho * rho)
     panels = _w_panels(thetas)
-    out = np.empty((len(a), 2 + 2 * len(thetas) + 5))
+    out = np.empty((len(a), 7 + 2 * len(thetas)))
     for m in np.unique(split):
         strips = np.flatnonzero(split == m)
         z, z_weight = _panel_rule(np.column_stack((a[strips], b[strips])), outer)

@@ -284,6 +284,30 @@ def test_block_reader_fails_a_block_when_numpy_only_warns(tmp_path):
     assert got == _outcome(oracle_read_csv, path)
 
 
+@pytest.mark.parametrize("miscount", [lambda values: values[:-1],
+                                      lambda values: np.append(values, 0.5)],
+                         ids=["one-too-few", "one-too-many"])
+def test_block_reader_fails_a_block_when_numpy_miscounts(tmp_path, miscount):
+    # a numpy that returned a partial or padded parse without raising must
+    # not have its values scattered into the cells
+    parse = np.fromstring
+    path = tmp_path / "valid.csv"
+    path.write_text("x,y\n0.5,0.25\n,0.75\n1e-3,\n", encoding="utf-8")
+    with mock.patch.object(np, "fromstring", lambda text, sep: miscount(parse(text, sep=sep))):
+        got = _outcome(read_csv, path)
+    assert got == _outcome(oracle_read_csv, path)
+
+
+def test_block_reader_fails_a_line_with_two_commas_whatever_numpy_returns(tmp_path):
+    # four values would fill the four cells that "1,2,3" shows around its two
+    # commas, and the block would read as two rows
+    path = tmp_path / "three.csv"
+    path.write_text("x,y\n1,2,3\n", encoding="utf-8")
+    with mock.patch.object(np, "fromstring", lambda text, sep: np.array([1.0, 2.0, 2.0, 3.0])):
+        got = _outcome(read_csv, path)
+    assert got == (CsvFormatError, "line 2: expected 2 columns, got 3")
+
+
 @pytest.mark.parametrize("scale", list(CovariateScale))
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_block_reader_reads_simulated_datasets(tmp_path, name, scale):

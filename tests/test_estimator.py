@@ -189,6 +189,8 @@ class TestCdfTable:
             CdfTable(np.array([0.0, 0.0]), np.array([0.0, 1.0]))  # knots not increasing
         with pytest.raises(MarginTableError):
             CdfTable(np.array([0.0, 1.0]), np.array([0.5, 1.0]))  # starts too high
+        with pytest.raises(MarginTableError, match="must start at 0"):
+            CdfTable(np.array([0.0, 1.0]), np.array([-5.0, 1.0]))  # starts too low
         with pytest.raises(MarginTableError):
             CdfTable(np.array([0.0, 1.0]), np.array([0.0, 0.9]))  # does not end at 1
         with pytest.raises(MarginTableError):

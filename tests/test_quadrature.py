@@ -126,8 +126,8 @@ def test_error_estimate_fills_the_se_slots():
     config = SCENARIO_CONFIGS[0]
     mean, err, _ = _quadrature(config, [0.4])
     pb = population_bounds_quadrature(config, [0.4], warn_on_theta_mismatch=False)[0]
-    assert (pb.worst_case.se_upper, pb.worst_case.se_lower) == (4 * err[0], 4 * err[1])
-    assert (pb.refined.se_upper, pb.refined.se_lower) == (4 * err[2], 4 * err[3])
+    assert (pb.worst_case.se_lower, pb.worst_case.se_upper) == (4 * err[0], 4 * err[1])
+    assert (pb.refined.se_lower, pb.refined.se_upper) == (4 * err[2], 4 * err[3])
     assert np.array_equal(pb.p_z_se, err[-5:-1]) and pb.theta_hat_se == err[-1]
 
 
