@@ -227,27 +227,52 @@ def _plug_in(ds: Dataset, inputs, theta=None, projected=False):
     gives their (upper_uv, lower_uv) at ``rows`` and, if ``projected``, n times
     the projection terms of the worst-case (lower, upper) integrands. A
     pattern's moment is an integrand's mean over its rows; an endpoint's SE is
-    4 sd / sqrt(n) of its integrand (plus projection) over all rows. Patterns
-    are reduced one at a time, each sorted: row order never changes a bit."""
+    4 sd / sqrt(n) of its integrand (plus projection) over all rows.
+
+    The rows are walked grouped by pattern (a stable sort of ``z``) in blocks,
+    one :func:`_integrands` call per block whatever patterns it holds, with
+    each row's one-hot pattern as its weights. A pattern's values are copied
+    into a table of their own, sorted and reduced once its last row is in,
+    then freed: row order never changes a bit, and at most one pattern's
+    table and one block are held, never a table of all rows."""
     thetas = [] if theta is None else [theta]
     n, block = len(ds), 1 << 16  # block: rows per integrand call
-    means, parts = [], []  # parts: (rows, mean, variance) of each SE integrand
-    for k in range(4):
-        rows = np.flatnonzero(ds.z == k + 1)
-        pairs = np.empty((1 + len(thetas), 2, rows.size))
-        for extra in range(1 + projected):  # the integrands, then with the projection
-            for a in range(0, rows.size, block):
-                got = inputs(rows[a:a + block])
-                pairs[..., a:a + block] = _integrands(*got[:2], (np.arange(4) == k)[:, None],
-                                                      thetas)
-                if extra:
-                    pairs[..., a:a + block] += got[2] / n
-            pairs.sort(axis=-1)
-            if not extra:
-                means.append((pairs.sum(axis=-1) / rows.size).tolist() if rows.size
-                             else [[None, None]] * len(pairs))
-        if rows.size:
-            parts.append((rows.size, pairs.mean(axis=-1), pairs.var(axis=-1)))
+    order = np.argsort(ds.z, kind="stable")
+    ends = np.cumsum(ds.pattern_counts()).tolist()
+    starts = [0] + ends[:3]  # pattern k + 1 is order[starts[k]:ends[k]]
+    means = [[[None, None]] * (1 + len(thetas))] * 4  # None: an empty pattern
+    parts = []  # (rows, mean, variance) of each SE integrand
+
+    def reduce(k, table, extra):
+        table.sort(axis=-1)
+        size = table.shape[-1]
+        mean = table.sum(axis=-1) / size
+        if not extra:
+            means[k] = mean.tolist()
+        if extra == projected:  # the variances, in place of the values
+            table -= mean[..., None]
+            table *= table
+            parts.append((size, mean, table.sum(axis=-1) / size))
+
+    for extra in range(1 + projected):  # the integrands, then with the projection
+        for a in range(0, n, block):
+            rows = order[a:a + block]
+            # the block's rows of pattern k + 1 are order[lo[k]:hi[k]]
+            lo = [min(max(i, a), a + rows.size) for i in starts]
+            hi = [min(max(i, a), a + rows.size) for i in ends]
+            weights = np.eye(4, dtype=bool).repeat(np.subtract(hi, lo), axis=1)
+            got = inputs(rows)
+            pairs = _integrands(*got[:2], weights, thetas)
+            if extra:
+                pairs += got[2] / n
+            for k, (start, end, i, j) in enumerate(zip(starts, ends, lo, hi)):
+                if i < j:
+                    if i == start:
+                        table = np.empty(pairs.shape[:2] + (end - start,))
+                    table[..., i - start:j - start] = pairs[..., i - a:j - a]
+                    if j == end:
+                        reduce(k, table, extra)
+                        del table  # before the next pattern's table is made
     mean = sum(m * mu for m, mu, _ in parts) / n
     squares = sum(m * (var + (mu - mean) ** 2) for m, mu, var in parts)
     se = (4.0 * np.sqrt(squares / (n - 1) / n) if n > 1 else squares * math.nan).tolist()
@@ -368,22 +393,37 @@ def envelope_summary(records) -> DistSummary:
     SEs each row's integrand carries its Hajek projection: the envelopes
     come from the same rows, each adding its indicator to them."""
     ds = as_dataset(records)
-    n, z, c = len(ds), ds.z, ds.pattern_counts()
+    n, c = len(ds), ds.pattern_counts()
     missing = (c[2] + c[3], c[1] + c[3])
-    # per column, n times the lower envelope at each row; these counts and
-    # the projection's (below 2n) are exact in int32 for n < 2^30
+    at_or_below, shift = _envelope_counts(ds, missing)
+
+    def inputs(rows):
+        lower = tuple(count[rows] / n for count in at_or_below)
+        return tuple(a + m / n for a, m in zip(lower, missing)), lower, shift[:, rows]
+
+    return _plug_in(ds, inputs, projected=True)
+
+
+def _envelope_counts(ds: Dataset, missing):
+    """Per row, n times the lower envelope of each column at its value, and n
+    times the projection terms of the worst-case (lower, upper) integrands.
+    These counts (below 2n) are exact in int32 for n < 2^30."""
+    n, z = len(ds), ds.z
     ranked, at_or_below = [], []
     for name, values in (("x", ds.x), ("y", ds.y)):
         rows = np.flatnonzero(~np.isnan(values))
         rows = rows[np.argsort(values[rows])].astype(np.int32)
         s = values[rows]
         _warn_if_tied(name, s)
-        # runs of equal values: each sorted value's first position, and its count
-        starts = np.flatnonzero(np.diff(s, prepend=np.nan) != 0.0)
-        run = np.repeat(np.arange(starts.size), np.diff(starts, append=s.size))
-        ranked.append((rows, starts[run].astype(np.int32)))
+        # each sorted value's run of equal values: its start, and its end (n F there)
+        new = np.empty(s.size, bool)
+        new[:1] = True
+        np.not_equal(s[1:], s[:-1], out=new[1:])
+        at = np.arange(s.size, dtype=np.int32)
+        ranked.append((rows, np.maximum.accumulate(at * new)))
         at_or_below.append(np.zeros(n, np.int32))
-        at_or_below[-1][rows] = np.append(starts[1:], s.size)[run]
+        at_or_below[-1][rows] = s.size - np.maximum.accumulate(
+            at * np.append(new[1:], True)[::-1])[::-1]
 
     # rows whose upper integrand reads F, G; whose lower one reads both (exactly, on n F)
     pat1 = z == 1
@@ -400,10 +440,4 @@ def envelope_summary(records) -> DistSummary:
             term.fill(if_missing)
             term[rows] = np.cumsum(readers[rows[::-1]], dtype=np.int32)[::-1][first]
             shift[k] += term
-    del ranked, reads_upper, reads_lower, term, rows, first, s, run, pat1, f_le_g  # freed
-
-    def inputs(rows):
-        lower = tuple(count[rows] / n for count in at_or_below)
-        return tuple(a + m / n for a, m in zip(lower, missing)), lower, shift[:, rows]
-
-    return _plug_in(ds, inputs, projected=True)
+    return at_or_below, shift
