@@ -2,11 +2,12 @@
 
 With incomplete bivariate data and no assumption on why cells are missing,
 tau is only partially identified. This package computes the worst-case
-interval (which provably always brackets zero, so it can never certify
-dependence), the tighter interval available when the joint probability of
-both variables falling below their medians is known, and the marginal-CDF
-envelopes used when even the margins are unknown. A simulation engine for
-logit-driven missingness and a command-line interface are included.
+interval (whose population value provably always brackets zero, so it can
+never certify dependence), the tighter interval available when the joint
+probability of both variables falling below their medians is known, and
+the marginal-CDF envelopes used when even the margins are unknown. A
+simulation engine for logit-driven missingness and a command-line
+interface are included.
 """
 
 __version__ = "0.1.0"

@@ -10,9 +10,10 @@ coordinates by their extreme values yields the worst-case interval
 
 where m1 / l1 are the pattern-1 means of min(F(X), G(Y)) and of
 max(F(X) + G(Y) - 1, 0), and m2 / m3 the pattern means of F(X) and G(Y).
-The worst-case interval always brackets zero. Knowing the median-quadrant
-probability theta = C(1/2, 1/2) tightens the pattern-1 terms via the
-constrained surfaces and can produce an interval excluding zero. Either
+The population worst-case interval always brackets zero; its estimate
+from a sample need not. Knowing the median-quadrant probability
+theta = C(1/2, 1/2) tightens the pattern-1 terms via the constrained
+surfaces and can produce an interval excluding zero. Either
 way each endpoint is 4 (mean of one integrand) - 1: :func:`_integrands`
 builds the integrands for the plug-in and both population engines as
 (lower, upper) pairs, and :func:`_tau` maps a pair's means to tau.

@@ -15,6 +15,7 @@ import functools
 import json
 import sys
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 
@@ -135,28 +136,9 @@ def _config_from_args(args) -> MgpConfig:
     return MgpConfig(gamma, CopulaSpec.gaussian(args.rho), scale)
 
 
-def _interval_payload(interval) -> dict | None:
-    if interval is None:
-        return None
-    return {
-        "lower": interval.lower,
-        "upper": interval.upper,
-        "se_lower": interval.se_lower,
-        "se_upper": interval.se_upper,
-    }
-
-
 def _bounds_payload(pb) -> dict:
-    return {
-        "worst_case": _interval_payload(pb.worst_case),
-        "refined": _interval_payload(pb.refined),
-        "p_z": [float(p) for p in pb.p_z],
-        "p_z_se": [float(s) for s in pb.p_z_se],
-        "theta": pb.theta,
-        "theta_hat": pb.theta_hat,
-        "theta_hat_se": pb.theta_hat_se,
-        "engine": pb.engine,
-    }
+    # ndarrays are not JSON
+    return asdict(pb) | {"p_z": pb.p_z.tolist(), "p_z_se": pb.p_z_se.tolist()}
 
 
 def _cmd_simulate(args) -> int:
@@ -211,14 +193,12 @@ def _cmd_reproduce(args) -> int:
             decision_ok = decision is scenario.expected_decision
             if not (within and decision_ok):
                 matched[scale] = False
+            bounds = _bounds_payload(pb)
             results.append({
                 "scenario": name,
                 "covariate_scale": scale.value,
                 "theta": theta,
-                "worst_case": _interval_payload(pb.worst_case),
-                "refined": _interval_payload(pb.refined),
-                "p_z": [float(p) for p in pb.p_z],
-                "theta_hat": pb.theta_hat,
+                **{key: bounds[key] for key in ("worst_case", "refined", "p_z", "theta_hat")},
                 "decision": decision.value,
                 "expected_decision": scenario.expected_decision.value,
                 "decision_matches": decision_ok,
@@ -340,7 +320,7 @@ def main(argv=None) -> int:
         # entering resets the shown-once registry; the caller's filters apply
         with warnings.catch_warnings():
             return args.func(args)
-    except (TauBoundsError, ValueError, KeyError, csv.Error) as exc:
+    except (TauBoundsError, ValueError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

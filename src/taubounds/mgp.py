@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -161,16 +161,8 @@ SCENARIOS: dict[str, Scenario] = {
 
 def scenario_manifest() -> dict:
     """Scenario constants in JSON-able form, for audit files."""
-    return {
-        name: {
-            "gamma": [list(row) for row in sc.gamma],
-            "rho": sc.rho,
-            "theta": sc.theta,
-            "targets": dict(sc.targets),
-            "expected_decision": sc.expected_decision.value,
-        }
-        for name, sc in SCENARIOS.items()
-    }
+    return {name: asdict(sc) | {"expected_decision": sc.expected_decision.value}
+            for name, sc in SCENARIOS.items()}
 
 
 def _as_config(config_or_name) -> MgpConfig:
@@ -348,10 +340,8 @@ def population_bounds_sweep(
 
     def task(index: int, size: int):
         uv = _sample_with(_rng_for(int(seed), index), config.copula, size)
-        # summed down a (points, columns) copy: each column in point order,
-        # where a sum along the rows of the table would sum pairwise
-        cols = np.ascontiguousarray(_integrands(config, thetas, uv[:, 0], uv[:, 1]).T)
-        return cols.sum(axis=0), (cols * cols).sum(axis=0)
+        table = _integrands(config, thetas, uv[:, 0], uv[:, 1])
+        return table.sum(axis=1), (table * table).sum(axis=1)
 
     parts = _run_blocks(task, int(draws))
     total = np.sum([p[0] for p in parts], axis=0)

@@ -158,6 +158,24 @@ class TestAnalyzeCommand:
         assert payload["decision"] == "inconclusive"
         assert "(se " in capsys.readouterr().out
 
+    def test_worst_case_estimate_can_exclude_zero(self, tmp_path, capsys):
+        # only the population worst-case interval must bracket 0: from one
+        # complete and one y-only row the estimate is [-1, -0.2], with SEs
+        # (0, 0.4), so the guard alone decides
+        data = tmp_path / "data.csv"
+        data.write_text("x,y\n0.1,0.2\n,0.3\n", encoding="utf-8")
+        args = ("analyze", "--input", str(data), "--format", "json")
+        decisions = {}
+        for guard in ("0", "1"):
+            assert run_cli(*args, "--se-guard", guard) == 0
+            payload = checked_report(capsys.readouterr().out)
+            assert payload["worst_case"]["raw"] == pytest.approx(
+                {"lower": -1.0, "upper": -0.2}, rel=0.0, abs=1e-12)
+            assert payload["worst_case"]["se"] == pytest.approx(
+                {"lower": 0.0, "upper": 0.4}, rel=0.0, abs=1e-12)
+            decisions[guard] = payload["decision"]
+        assert decisions == {"0": "dependence_negative", "1": "inconclusive"}
+
     def test_from_file_margins(self, tmp_path):
         table = tmp_path / "uniform.csv"
         table.write_text("value,cdf\n0.0,0.0\n1.0,1.0\n", encoding="utf-8")
@@ -387,6 +405,58 @@ class TestReproduceCommand:
         assert not any(flag in usage for flag in hidden)
 
 
+def _strict_json(path):
+    """The file's JSON; fails on NaN and Infinity, which JSON does not allow."""
+    def reject(constant):
+        raise AssertionError(f"{path.name} holds {constant}")
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+
+
+_INTERVAL_KEYS = ["lower", "upper", "se_lower", "se_upper"]
+
+
+class TestJsonLayouts:
+    """Key order of the population and scenario files, which readers of the
+    files may rely on."""
+
+    @pytest.mark.parametrize("theta", [None, "0.4"])
+    def test_bounds_output(self, tmp_path, theta):
+        out = tmp_path / "b.json"
+        extra = [] if theta is None else ["--theta", theta]
+        assert run_cli("simulate", "--scenario", "P2", "--n", "10",
+                       "--output", str(tmp_path / "d.csv"),
+                       "--bounds-output", str(out), *extra) == 0
+        payload = _strict_json(out)
+        assert list(payload) == ["worst_case", "refined", "p_z", "p_z_se", "theta",
+                                 "theta_hat", "theta_hat_se", "engine"]
+        assert list(payload["worst_case"]) == _INTERVAL_KEYS
+        if theta is None:
+            assert payload["refined"] is None
+        else:
+            assert list(payload["refined"]) == _INTERVAL_KEYS
+        assert len(payload["p_z"]) == len(payload["p_z_se"]) == 4
+
+    def test_reproduce_output_and_manifest(self, tmp_path):
+        out, manifest = tmp_path / "r.json", tmp_path / "m.json"
+        assert run_cli("reproduce", "--scale", "uniform01", "--output", str(out),
+                       "--export-scenarios", str(manifest)) == 0
+        payload = _strict_json(out)
+        assert list(payload) == ["tool_version", "engine", "tolerance",
+                                 "matched_convention", "results"]
+        assert len(payload["results"]) == 3
+        for row in payload["results"]:
+            assert list(row) == ["scenario", "covariate_scale", "theta", "worst_case",
+                                 "refined", "p_z", "theta_hat", "decision",
+                                 "expected_decision", "decision_matches", "targets",
+                                 "deviations", "within_tolerance"]
+            assert list(row["worst_case"]) == list(row["refined"]) == _INTERVAL_KEYS
+        scenarios = _strict_json(manifest)
+        assert list(scenarios) == ["P1", "P2", "P3"]
+        for entry in scenarios.values():
+            assert list(entry) == ["gamma", "rho", "theta", "targets",
+                                   "expected_decision"]
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--rho", "0.5", "--n", "10", "--output", "y.csv", "--theta", "0.6"],
     ["simulate", "--rho", "0.5", "--n", "10", "--output", "y.csv",
@@ -447,6 +517,17 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+    def test_key_error_is_not_a_validation_failure(self, tmp_path, monkeypatch):
+        # no flag or file can raise KeyError, so one is a programming error
+        def broken(*args, **kwargs):
+            raise KeyError("broken")
+
+        monkeypatch.setattr(cli, "analyze", broken)
+        data = tmp_path / "data.csv"
+        data.write_text("x,y\n0.1,0.2\n", encoding="utf-8")
+        with pytest.raises(KeyError, match="broken"):
+            main(["analyze", "--input", str(data)])
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "m.csv"
